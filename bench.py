@@ -137,6 +137,11 @@ def run_headline(num_cpus: int, rows: int = BENCH_ROWS) -> dict:
     n_pairs = res["pairs"].count()
     n_clusters = res["clusters"].count()
     elapsed = time.time() - t0
+    # per-stage wall times from the run's lineage manifests, read
+    # before the out_dir goes
+    from mhray.checkpoint import read_manifests
+
+    stages = {m["stage"]: m["duration_s"] for m in read_manifests(out_dir)}
     # bench checkpoints are disposable — accumulated rep/leg out_dirs
     # (2.4 GB each at 2M rows) once filled the disk mid-catalog and
     # OOD-killed a shuffle; reclaim as soon as the counts are in hand
@@ -149,6 +154,7 @@ def run_headline(num_cpus: int, rows: int = BENCH_ROWS) -> dict:
         "images_per_sec": round(rows / elapsed, 1),
         "pairs": n_pairs,
         "cluster_rows": n_clusters,
+        "stages": stages,
     }
     if os.environ.get("MHRAY_MEASURE_CEILING") == "1":
         out["ceiling_agg_throughput"] = round(
@@ -336,14 +342,7 @@ def main() -> None:
         # round-over-round comparison than one end-to-end figure
         rows = int(os.environ.get("MHRAY_HEADLINE_ROWS", BENCH_ROWS))
         stats = run_headline(NUM_CPUS, rows)
-        from mhray.checkpoint import read_manifests
-
-        out_dirs = sorted(
-            (d for d in os.listdir("/tmp")
-             if d.startswith(f"mhray_bench_out_{NUM_CPUS}_")),
-            key=lambda d: os.path.getmtime(os.path.join("/tmp", d)))
-        stages = {m["stage"]: m["duration_s"]
-                  for m in read_manifests(os.path.join("/tmp", out_dirs[-1]))}
+        stages = stats.pop("stages")
         print(json.dumps({"headline": stats, "stages": stages,
                           "num_cpus": NUM_CPUS}))
         return

@@ -87,23 +87,79 @@ def _window_matrix(units: np.ndarray, offsets: np.ndarray, k: int) -> tuple[np.n
     # start index (into units) of every window; rows gathered from the
     # zero-copy sliding view (one 1-D take — 17x faster than a 2-D
     # index-matrix gather on the same data)
-    starts = np.repeat(offsets[:-1], counts) + _concat_aranges(counts)
+    _, starts = expand_spans(offsets[:-1], offsets[:-1] + counts)
     sw = np.lib.stride_tricks.sliding_window_view(units, k)
     win = np.take(sw, starts, axis=0)  # (N, k) uint16, contiguous
     return win.view(np.uint8).reshape(total, 2 * k), row_offsets
 
 
-def _concat_aranges(counts: np.ndarray) -> np.ndarray:
-    """[0..counts[0]-1, 0..counts[1]-1, ...] without a Python loop."""
-    total = int(counts.sum())
-    if total == 0:
+def expand_spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(r, j)`` with ``lo[r] <= j < hi[r]``, as ``(src, dst)``
+    arrays: rows in order, ``j`` ascending within a row, nothing for an
+    empty span (``hi[r] <= lo[r]``).
+
+    The one ragged expansion behind every pair emitter (upper triangle,
+    query x index cross, value window) and every ragged gather
+    (shingle windows, sub-sketch windows): each caller only computes
+    its rows' spans, so the cost is input + output."""
+    lo = np.asarray(lo, dtype=np.int64)
+    cnt = np.maximum(np.asarray(hi, dtype=np.int64) - lo, 0)
+    src = np.repeat(np.arange(len(cnt), dtype=np.int64), cnt)
+    shift = lo - (np.cumsum(cnt) - cnt)
+    return src, np.arange(len(src), dtype=np.int64) + shift[src]
+
+
+def pair_run_starts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal ``(lo, hi)`` in arrays sorted
+    by (lo, hi) — the per-pair dedupe / reduceat boundaries."""
+    if len(lo) == 0:
         return np.empty(0, dtype=np.int64)
-    nz = counts[counts > 0]
-    ends = np.cumsum(nz)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = 0
-    out[ends[:-1]] = 1 - nz[:-1]
-    return np.cumsum(out)
+    new = np.ones(len(lo), dtype=bool)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return np.flatnonzero(new)
+
+
+def group_searchsorted(keys: np.ndarray, vals: np.ndarray,
+                       *probes: tuple[np.ndarray, str]) -> list[np.ndarray]:
+    """``searchsorted`` of each row's target among the rows of its OWN
+    key group, for rows sorted by (keys, vals): one result per
+    ``(targets, side)`` probe, as absolute row positions (a target
+    outside the group's values lands on the group's start or end).
+
+    One global search over the packed key group ordinal x dense value
+    rank, built once for all probes: both are < n, so the packed key
+    fits int64 for any n under ~3e9 rows whatever the range of the
+    values — no value-range packing to overflow, no chunking."""
+    n = len(keys)
+    if n == 0:
+        return [np.empty(0, dtype=np.int64) for _ in probes]
+    new = np.ones(n, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    g = np.cumsum(new) - 1
+    uv = np.unique(vals)
+    nu = len(uv)
+    packed = g * nu + np.searchsorted(uv, vals)
+    out = []
+    for targets, side in probes:
+        rank = np.searchsorted(uv, targets, side=side)
+        if side == "right":  # rank of the largest value <= target
+            rank -= 1        # (left: of the smallest value >= target)
+        out.append(np.searchsorted(packed, g * nu + rank, side=side))
+    return out
+
+
+def window_pairs(keys: np.ndarray, vals: np.ndarray,
+                 w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(a, b)`` of rows with ``keys[a] == keys[b]`` and
+    ``|vals[a] - vals[b]| <= w``, each unordered pair once, with
+    ``vals[a] <= vals[b]``. Rows sort by (keys, vals); row r's
+    partners are the span from r+1 to its window end in its group.
+    ``vals + w`` must not overflow int64."""
+    order = np.lexsort((vals, keys))
+    k, v = keys[order], vals[order]
+    end, = group_searchsorted(k, v, (v + w, "right"))
+    src, dst = expand_spans(np.arange(1, len(k) + 1), end)
+    return order[src], order[dst]
 
 
 def _units_of(texts) -> tuple[np.ndarray, np.ndarray]:
@@ -1089,8 +1145,7 @@ def subsketch_window_bounds(lengths: np.ndarray, step: int, k: int
     np.maximum(num, 0, out=num)
     win_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(num, out=win_offsets[1:])
-    it = _concat_aranges(num)
-    doc = np.repeat(np.arange(len(lengths)), num)
+    doc, it = expand_spans(np.zeros_like(num), num)
     end = np.minimum(lengths[doc], it * step + 2 * step)
     cstart = np.maximum(0, end - 2 * step)
     return win_offsets, cstart, end
@@ -1129,7 +1184,8 @@ def bit_subsketches(texts, k: int = 7, step: int = 50,
     w_off = np.zeros(n_win + 1, dtype=np.int64)
     np.cumsum(wlen, out=w_off[1:])
     # gather every window's unit run into one contiguous buffer
-    take = np.repeat(offsets[:-1][doc] + cstart, wlen) + _concat_aranges(wlen)
+    base = offsets[:-1][doc] + cstart
+    _, take = expand_spans(base, base + wlen)
     w_units = units[take]
 
     win, row_offsets = _window_matrix(w_units, w_off, k)

@@ -265,8 +265,7 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
 
         pp = bands.groupby("part", num_partitions=num_parts).map_groups(
             make_emit_phash_pairs(cfg.band_group_cap,
-                                  cfg.phash_max_hamming, num_parts,
-                                  exclude_equal=True),
+                                  cfg.phash_max_hamming, num_parts),
             batch_format="pyarrow") \
             .groupby("pair_part", num_partitions=num_parts).map_groups(
                 make_pair_min("hamming"), batch_format="pyarrow")
@@ -283,25 +282,18 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
                             num_parts, pairs_schema=mid, side_schema=g_schema)
 
         def expand_cross(batch: pa.Table) -> pa.Table:
-            """Ragged two-blob cartesian: every row pairs each lo-group
-            member with each hi-group member, in ONE vectorized pass
-            over the batch (pair ordinal t of row r maps to members
-            (t // n2[r], t % n2[r]))."""
+            """Ragged two-blob cartesian: every lo-group member's span
+            is its row's hi-group members, expanded in ONE vectorized
+            pass over the batch."""
+            from mhray.kernels import expand_spans
+
             il, rl_all, mo_l = _members_flat(batch.column("members_lo"))
             ih, rh_all, mo_h = _members_flat(batch.column("members_hi"))
             hams = np.asarray(batch.column("hamming"), dtype=np.int32)
-            n1, n2 = np.diff(mo_l), np.diff(mo_h)
-            tot = n1 * n2
-            total = int(tot.sum())
-            if total == 0:
+            row = np.repeat(np.arange(batch.num_rows), np.diff(mo_l))
+            ga, gb = expand_spans(mo_h[:-1][row], mo_h[1:][row])
+            if len(ga) == 0:
                 return _EXP_EMPTY
-            ends = np.cumsum(tot)
-            t = np.arange(total, dtype=np.int64) - np.repeat(ends - tot, tot)
-            n2_rep = np.repeat(n2, tot)
-            a = t // n2_rep
-            b = t - a * n2_rep
-            ga = np.repeat(mo_l[:-1], tot) + a
-            gb = np.repeat(mo_h[:-1], tot) + b
             ia, ra = il[ga], rl_all[ga]
             ib, rb = ih[gb], rh_all[gb]
             swap = ia > ib
@@ -310,7 +302,7 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
                 "hi": pa.array(np.where(swap, ia, ib), pa.int64()),
                 "rep_lo": pa.array(np.where(swap, rb, ra), pa.int64()),
                 "rep_hi": pa.array(np.where(swap, ra, rb), pa.int64()),
-                "hamming": pa.array(np.repeat(hams, tot), pa.int32()),
+                "hamming": pa.array(hams[row[ga]], pa.int32()),
             })
 
         cross = pp.map_batches(expand_cross, batch_format="pyarrow",

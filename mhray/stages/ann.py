@@ -532,6 +532,7 @@ def embedding_dup_pairs(ds, tau: float = 0.99, n_bits: int = 10,
     hash partition. Groups over ``group_cap`` keep the cap smallest
     ids (deterministic) and log the drop.
     """
+    from mhray.kernels import pair_run_starts
     from mhray.stages.candidates import _pair_part, _part_of
 
     def to_parts(batch: pa.Table) -> pa.Table:
@@ -601,9 +602,7 @@ def embedding_dup_pairs(ds, tau: float = 0.99, n_bits: int = 10,
         hi = np.asarray(part.column("hi"), dtype=np.int64)
         order = np.lexsort((hi, lo))
         lo_s, hi_s = lo[order], hi[order]
-        first = np.ones(len(lo_s), dtype=bool)
-        if len(lo_s) > 1:
-            first[1:] = (np.diff(lo_s) != 0) | (np.diff(hi_s) != 0)
+        first = pair_run_starts(lo_s, hi_s)
         return pa.table({
             "lo": pa.array(lo_s[first], pa.int64()),
             "hi": pa.array(hi_s[first], pa.int64()),

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from mhray.config import MhapConfig
 
@@ -53,23 +52,6 @@ def auto_parts(requested=None, lo: int = 2, hi: int = 32):
 # ---------------------------------------------------------------------------
 # explode
 # ---------------------------------------------------------------------------
-
-def explode_minhash(batch: pa.Table, num_hashes: int, num_parts: int) -> pa.Table:
-    """(minhash binary, iid) -> (part, key, iid) rows."""
-    from mhray.kernels import binary_column_fixed_i32
-
-    sig = binary_column_fixed_i32(batch.column("minhash"), num_hashes)
-    iids = np.asarray(batch.column("iid"), dtype=np.int64)
-    slots = np.arange(num_hashes, dtype=np.int64) << 32
-    keys = (slots[None, :] | sig.astype(np.uint32).astype(np.int64)).ravel()
-    out_iids = np.repeat(iids, num_hashes)
-    part = _part_of(keys, num_parts)
-    return pa.table({
-        "part": pa.array(part, pa.int32()),
-        "key": pa.array(keys, pa.int64()),
-        "iid": pa.array(out_iids, pa.int64()),
-    })
-
 
 def explode_phash_bands(batch: pa.Table, n_bands: int, band_bits: int,
                         num_parts: int, extra_payload: tuple = ()) -> pa.Table:
@@ -166,9 +148,6 @@ def unpack_entries(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     """Packed explode rows -> aligned (keys, iids) int64 arrays,
     honoring the per-row ``iw`` iid width (entry order is arbitrary —
     consumers re-sort by key)."""
-    if "iw" not in tbl.column_names:
-        return (binary_concat_i64(tbl.column("kblob")),
-                binary_concat_i64(tbl.column("iblob")))
     iw = np.asarray(tbl.column("iw"), dtype=np.int8)
     ks, vs = [], []
     for w, dt in ((4, "<i4"), (8, "<i8")):
@@ -221,61 +200,97 @@ def _pair_part(lo: np.ndarray, hi: np.ndarray, num_parts: int) -> np.ndarray:
 # partition-wise pair emission
 # ---------------------------------------------------------------------------
 
+def _sorted_groups(keys: np.ndarray, iids: np.ndarray):
+    """Sort entries by (key, iid): (order, group starts, group sizes)."""
+    order = np.lexsort((iids, keys))
+    k = keys[order]
+    starts = np.flatnonzero(np.diff(k, prepend=k[0] - 1)) if len(k) \
+        else np.empty(0, np.int64)
+    return order, starts, np.diff(np.append(starts, len(k)))
+
+
 def _pairs_within_groups(keys: np.ndarray, iids: np.ndarray, cap: int,
                          payload: np.ndarray | None = None):
     """All intra-group (lo, hi) pairs for groups keyed by ``keys``.
 
-    Vectorized: sorts by (key, iid), finds group boundaries, emits
-    C(g,2) pairs per group. Groups over ``cap`` members keep the cap
-    smallest iids and mark their pairs capped. Returns
-    (lo, hi, capped, n_dropped_ids[, payload_lo, payload_hi]).
+    Vectorized: sorts by (key, iid) and gives each kept row r the
+    upper-triangle span ``[r+1, group_start + min(size, cap))`` for
+    ``expand_spans`` — no per-group Python (the LSH regime is hundreds
+    of thousands of 2-member groups per partition). Groups over
+    ``cap`` members keep the cap smallest iids and mark their pairs
+    capped. Returns (lo, hi, capped, n_dropped_ids[, payload_lo,
+    payload_hi]).
     """
-    from mhray.kernels import _concat_aranges
+    from mhray.kernels import expand_spans
 
-    order = np.lexsort((iids, keys))
-    k = keys[order]
+    order, starts, sizes = _sorted_groups(keys, iids)
     v = iids[order]
-    p = payload[order] if payload is not None else None
-    starts = np.flatnonzero(np.diff(k, prepend=k[0] - 1)) if len(k) else np.empty(0, np.int64)
-    sizes = np.diff(np.append(starts, len(k)))
-
-    # fully vectorized ragged upper-triangle emission (no per-group
-    # Python — the LSH regime is hundreds of thousands of 2-member
-    # groups per partition): capped groups keep their first (smallest-
-    # iid) ``cap`` members; each kept row r of a g-member group pairs
-    # with the g-1-r rows after it.
-    gsz = np.minimum(sizes, cap)
-    dropped = int((sizes - gsz).sum())
-    row_local = _concat_aranges(gsz)                    # 0..g-1 per group
-    row_global = np.repeat(starts, gsz) + row_local     # into v/p
-    pairs_per_row = np.repeat(gsz, gsz) - 1 - row_local
-    a_pair = np.repeat(row_global, pairs_per_row)
-    b_pair = np.repeat(row_global + 1, pairs_per_row) \
-        + _concat_aranges(pairs_per_row)
-    lo, hi = v[a_pair], v[b_pair]
-    capped = np.repeat(sizes > cap, gsz * (gsz - 1) // 2)
+    kept = np.minimum(sizes, cap)
+    a, b = expand_spans(np.arange(1, len(v) + 1),
+                        np.repeat(starts + kept, sizes))
+    capped = np.repeat(sizes > cap, sizes)[a]
+    dropped = int((sizes - kept).sum())
     if payload is not None:
-        return lo, hi, capped, dropped, p[a_pair], p[b_pair]
-    return lo, hi, capped, dropped
+        p = payload[order]
+        return v[a], v[b], capped, dropped, p[a], p[b]
+    return v[a], v[b], capped, dropped
+
+
+def _cross_pairs(qkeys: np.ndarray, qiids: np.ndarray,
+                 ikeys: np.ndarray, iiids: np.ndarray, cap: int):
+    """All (query, index) pairs sharing a key: each kept query row's
+    span is its key's index group. Each side keeps the ``cap``
+    smallest iids per key; pairs of a key capped on either side are
+    marked capped. Returns (lo=query iid, hi=index iid, capped,
+    n_dropped_ids)."""
+    from mhray.kernels import expand_spans
+
+    if len(qkeys) == 0 or len(ikeys) == 0:
+        e = np.empty(0, np.int64)
+        return e, e, np.empty(0, bool), 0
+    qo, qs, qn = _sorted_groups(qkeys, qiids)
+    io, is_, in_ = _sorted_groups(ikeys, iiids)
+    qk, ik = qkeys[qo][qs], ikeys[io][is_]
+    pos = np.minimum(np.searchsorted(ik, qk), len(ik) - 1)
+    both = ik[pos] == qk                      # per query key group
+    qkept = np.where(both, np.minimum(qn, cap), 0)
+    ikept = np.where(both, np.minimum(in_[pos], cap), 0)
+    dropped = int(np.maximum(qn - cap, 0)[both].sum()
+                  + np.maximum(in_[pos] - cap, 0)[both].sum())
+    # per query row: its group's index span, empty past the cap
+    rank = np.arange(len(qo)) - np.repeat(qs, qn)
+    live = rank < np.repeat(qkept, qn)
+    span_lo = np.repeat(is_[pos], qn)
+    a, b = expand_spans(span_lo,
+                        span_lo + np.where(live, np.repeat(ikept, qn), 0))
+    capped = np.repeat((qn > cap) | (in_[pos] > cap), qn)[a]
+    return qiids[qo][a], iiids[io][b], capped, dropped
 
 
 def aggregate_pair_partials(lo: np.ndarray, hi: np.ndarray,
                             capped: np.ndarray,
-                            num_parts: int | None = None) -> pa.Table:
-    """(lo, hi, capped) pair arrays -> grouped (lo, hi, partial_count,
-    capped[, pair_part]) partial-count table. ONE definition for every
-    pair emitter (minhash, packed, incremental cross): the positional
-    rename after ``group_by().aggregate()`` is load-bearing — it
-    assumes the pinned pyarrow emits group keys first — so a pyarrow
-    ordering change must be fixed in exactly one place."""
+                            num_parts: int | None = None,
+                            payload: dict | None = None) -> pa.Table:
+    """(lo, hi, capped) pair arrays -> grouped (lo, hi[, payload],
+    partial_count, capped[, pair_part]) partial-count table. ONE
+    definition for every pair emitter (minhash, packed, payload,
+    incremental cross): the positional rename after
+    ``group_by().aggregate()`` is load-bearing — it assumes the pinned
+    pyarrow emits group keys first — so a pyarrow ordering change must
+    be fixed in exactly one place. ``payload`` maps extra int64 column
+    names to per-pair arrays; they are group keys too (each is a
+    function of the pair's ids, so grouping is still per pair)."""
+    payload = payload or {}
     tbl = pa.table({
         "lo": pa.array(lo, pa.int64()), "hi": pa.array(hi, pa.int64()),
+        **{c: pa.array(v, pa.int64()) for c, v in payload.items()},
         "capped": pa.array(capped),
         "n": pa.array(np.ones(len(lo), np.int64)),
     })
-    agg = tbl.group_by(["lo", "hi"]).aggregate([("n", "sum"),
-                                                ("capped", "max")])
-    agg = agg.rename_columns(["lo", "hi", "partial_count", "capped"])
+    agg = tbl.group_by(["lo", "hi", *payload]).aggregate(
+        [("n", "sum"), ("capped", "max")])
+    agg = agg.rename_columns(["lo", "hi", *payload, "partial_count",
+                              "capped"])
     if num_parts is not None:
         agg = agg.append_column("pair_part", pa.array(_pair_part(
             np.asarray(agg.column("lo"), np.int64),
@@ -284,64 +299,43 @@ def aggregate_pair_partials(lo: np.ndarray, hi: np.ndarray,
     return agg
 
 
-def make_emit_pairs(cap: int, with_payload: bool = False,
-                    payload_cols: tuple = ("phash",),
+def make_emit_pairs(cap: int, payload_cols: tuple = (),
                     num_parts: int | None = None):
     """map_groups(part) fn: pairs within every key group of the
     partition, with per-pair partial counts (combiner before shuffle #2).
-    With payload_cols, each named int64 column rides along as
+    Each named int64 ``payload_cols`` column rides along as
     <name>_lo / <name>_hi on every pair."""
 
     def emit_pairs(part: pa.Table) -> pa.Table:
         keys = np.asarray(part.column("key"), dtype=np.int64)
         iids = np.asarray(part.column("iid"), dtype=np.int64)
-        if with_payload:
-            payload = np.stack([
-                np.asarray(part.column(c), dtype=np.int64)
-                for c in payload_cols], axis=1)
+        payload = {}
+        if payload_cols:
+            p = np.stack([np.asarray(part.column(c), dtype=np.int64)
+                          for c in payload_cols], axis=1)
             lo, hi, capped, dropped, plo, phi = _pairs_within_groups(
-                keys, iids, cap, payload)
+                keys, iids, cap, p)
+            for ci, c in enumerate(payload_cols):
+                payload[f"{c}_lo"] = plo[:, ci]
+                payload[f"{c}_hi"] = phi[:, ci]
         else:
             lo, hi, capped, dropped = _pairs_within_groups(keys, iids, cap)
         if dropped:
             print(f"[mhray] candidate group cap: dropped {dropped} ids in one partition")
-        # partial pair-count within the partition (pre-aggregate):
-        if with_payload:
-            cols = {
-                "lo": pa.array(lo, pa.int64()), "hi": pa.array(hi, pa.int64()),
-                "capped": pa.array(capped),
-            }
-            names = []
-            for ci, c in enumerate(payload_cols):
-                cols[f"{c}_lo"] = pa.array(plo[:, ci], pa.int64())
-                cols[f"{c}_hi"] = pa.array(phi[:, ci], pa.int64())
-                names += [f"{c}_lo", f"{c}_hi"]
-            cols["n"] = pa.array(np.ones(len(lo), np.int64))
-            tbl = pa.table(cols)
-            agg = tbl.group_by(["lo", "hi", *names]).aggregate(
-                [("capped", "max"), ("n", "sum")])
-            agg = agg.rename_columns(["lo", "hi", *names, "capped",
-                                      "partial_count"])
-            if num_parts is not None:
-                agg = agg.append_column("pair_part", pa.array(_pair_part(
-                    np.asarray(agg.column("lo"), np.int64),
-                    np.asarray(agg.column("hi"), np.int64), num_parts),
-                    pa.int32()))
-            return agg
-        return aggregate_pair_partials(lo, hi, capped, num_parts)
+        return aggregate_pair_partials(lo, hi, capped, num_parts, payload)
 
     return emit_pairs
 
 
-def make_emit_phash_pairs(cap: int, max_hamming: int, num_parts: int,
-                          exclude_equal: bool = False):
-    """map_groups(part) fn for pHash band buckets: emit intra-group
-    (lo, hi) pairs and apply the Hamming gate IN the same call —
+def make_emit_phash_pairs(cap: int, max_hamming: int, num_parts: int):
+    """map_groups(part) fn for DISTINCT-pHash band buckets (equal
+    pHashes pair upstream): emit intra-group (lo, hi) pairs and apply
+    the Hamming gate IN the same call —
     random band collisions (the quadratic term at scale) die before
     any row leaves the partition, instead of shipping millions of
     junk pairs into a dedupe shuffle. Output: gated unique-per-
     partition pairs with their hamming and a pair_part key."""
-    from mhray.kernels import hamming64
+    from mhray.kernels import hamming64, pair_run_starts
 
     def emit_gated(part: pa.Table) -> pa.Table:
         keys = np.asarray(part.column("key"), dtype=np.int64)
@@ -359,17 +353,12 @@ def make_emit_phash_pairs(cap: int, max_hamming: int, num_parts: int,
                 "pair_part": pa.array([], pa.int32()),
             })
         ham = hamming64(plo[:, 0], phi[:, 0]).astype(np.int32)
-        keep = ham <= max_hamming
-        if exclude_equal:  # distinct-pHash mode: equal handled upstream
-            keep &= plo[:, 0] != phi[:, 0]
+        keep = (ham <= max_hamming) & (plo[:, 0] != phi[:, 0])
         lo, hi, ham = lo[keep], hi[keep], ham[keep]
         # partition-local dedupe (same pair via several bands)
         order = np.lexsort((ham, hi, lo))
-        lo_s, hi_s, ham_s = lo[order], hi[order], ham[order]
-        first = np.ones(len(lo_s), dtype=bool)
-        if len(lo_s) > 1:
-            first[1:] = (np.diff(lo_s) != 0) | (np.diff(hi_s) != 0)
-        lo_s, hi_s, ham_s = lo_s[first], hi_s[first], ham_s[first]
+        idx = order[pair_run_starts(lo[order], hi[order])]
+        lo_s, hi_s, ham_s = lo[idx], hi[idx], ham[idx]
         return pa.table({
             "lo": pa.array(lo_s, pa.int64()),
             "hi": pa.array(hi_s, pa.int64()),
@@ -386,6 +375,7 @@ def make_count_gate(min_matches: int):
     counts of each (lo, hi) pair and gate on min_matches — the
     HitCounter threshold (MinHashSearch.java:204) without a slow
     multi-key sort shuffle."""
+    from mhray.kernels import pair_run_starts
 
     def count_gate(part: pa.Table) -> pa.Table:
         lo = np.asarray(part.column("lo"), dtype=np.int64)
@@ -393,10 +383,7 @@ def make_count_gate(min_matches: int):
         cnt = np.asarray(part.column("partial_count"), dtype=np.int64)
         order = np.lexsort((hi, lo))
         lo_s, hi_s, cnt_s = lo[order], hi[order], cnt[order]
-        new_grp = np.ones(len(lo_s), dtype=bool)
-        if len(lo_s) > 1:
-            new_grp[1:] = (np.diff(lo_s) != 0) | (np.diff(hi_s) != 0)
-        starts = np.flatnonzero(new_grp)
+        starts = pair_run_starts(lo_s, hi_s)
         sums = np.add.reduceat(cnt_s, starts) if len(starts) else np.empty(0, np.int64)
         keep = sums >= min_matches
         if "capped" in part.column_names:
@@ -421,18 +408,15 @@ def make_pair_min(value_col: str, payload_cols: tuple = ()):
     """groupby(pair_part).map_groups fn: per-pair minimum of value_col
     (deduping a pair found via multiple bands), carrying payload columns
     (identical within a pair) from the first occurrence."""
+    from mhray.kernels import pair_run_starts
 
     def pair_min(part: pa.Table) -> pa.Table:
         lo = np.asarray(part.column("lo"), dtype=np.int64)
         hi = np.asarray(part.column("hi"), dtype=np.int64)
         val = np.asarray(part.column(value_col))
         order = np.lexsort((val, hi, lo))
-        lo_s, hi_s = lo[order], hi[order]
-        new_grp = np.ones(len(lo_s), dtype=bool)
-        if len(lo_s) > 1:
-            new_grp[1:] = (np.diff(lo_s) != 0) | (np.diff(hi_s) != 0)
-        starts = np.flatnonzero(new_grp)
-        idx = order[starts]  # min value row per pair (val sorted first)
+        # min value row per pair (val sorted first)
+        idx = order[pair_run_starts(lo[order], hi[order])]
         cols = {
             "lo": pa.array(lo[idx], pa.int64()),
             "hi": pa.array(hi[idx], pa.int64()),
@@ -513,22 +497,3 @@ def apply_store_length_gate(gated, lo_side, hi_side, msl: int,
 
     return g.map_batches(store_gate, batch_format="pyarrow",
                          zero_copy_batch=True)
-
-
-def phash_candidates(sketches_ds, cfg: MhapConfig, num_parts: int = 64):
-    """sketches -> image-axis pairs (lo, hi, hamming) gated on Hamming
-    distance INSIDE the band partition (junk band collisions never
-    leave it), deduplicated across bands by one pair-keyed shuffle."""
-    bands = sketches_ds.map_batches(
-        explode_phash_bands,
-        fn_kwargs={"n_bands": cfg.phash_bands, "band_bits": cfg.phash_band_bits,
-                   "num_parts": num_parts},
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    gated = bands.groupby("part", num_partitions=num_parts).map_groups(
-        make_emit_phash_pairs(cfg.band_group_cap, cfg.phash_max_hamming,
-                              num_parts),
-        batch_format="pyarrow")
-    # dedupe the same pair found via multiple bands
-    return gated.groupby("pair_part", num_partitions=num_parts).map_groups(
-        make_pair_min("hamming"), batch_format="pyarrow")

@@ -749,14 +749,15 @@ def shingle_containment_pairs(ds, tau_bp: int = 8000, shingle_words: int = 4,
     token hashes (collision ~2^-64); docs with fewer than
     ``shingle_words`` tokens post nothing and cannot pair.
     """
+    from mhray.kernels import pair_run_starts
+
     num_parts = auto_parts(num_parts)
     pairs = ds.map_batches(make_shingle_postings(shingle_words, text_col,
                                                  id_col, num_parts),
                            batch_format="pyarrow",
                            zero_copy_batch=True) \
         .groupby("part", num_partitions=num_parts) \
-        .map_groups(make_emit_pairs(group_cap, with_payload=True,
-                                    payload_cols=("n_sh",),
+        .map_groups(make_emit_pairs(group_cap, payload_cols=("n_sh",),
                                     num_parts=num_parts),
                     batch_format="pyarrow")
 
@@ -770,10 +771,7 @@ def shingle_containment_pairs(ds, tau_bp: int = 8000, shingle_words: int = 4,
         order = np.lexsort((hi, lo))
         lo_s, hi_s, na_s, nb_s, n_s = (lo[order], hi[order], na[order],
                                        nb[order], n[order])
-        first = np.ones(len(lo_s), dtype=bool)
-        if len(lo_s) > 1:
-            first[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
-        starts = np.flatnonzero(first)
+        starts = pair_run_starts(lo_s, hi_s)
         # pairs are sorted: reduceat keeps the sums integer-exact
         inter = np.add.reduceat(n_s, starts) \
             if len(starts) else np.empty(0, np.int64)
@@ -803,7 +801,7 @@ def simhash_pairs(ds, max_hamming: int = 6, k: int = 6,
                   num_parts: int | None = None, group_cap: int = 2000):
     """(lo, hi, hamming) pairs whose SimHash Hamming distance <=
     max_hamming, candidates from contiguous-block banding."""
-    from mhray.kernels import hamming64, phash_band_keys, simhash64
+    from mhray.kernels import hamming64, simhash64
 
     num_parts = auto_parts(num_parts)
 
@@ -825,7 +823,8 @@ def simhash_pairs(ds, max_hamming: int = 6, k: int = 6,
         batch_format="pyarrow", zero_copy_batch=True,
     )
     pairs = bands.groupby("part", num_partitions=num_parts).map_groups(
-        make_emit_pairs(group_cap, with_payload=True), batch_format="pyarrow")
+        make_emit_pairs(group_cap, payload_cols=("phash",)),
+        batch_format="pyarrow")
 
     def gate(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch.column("phash_lo"), dtype=np.int64)

@@ -22,7 +22,8 @@ re-expressed on the repo's prefix-filter machinery):
    ``q*k + 1`` prefix is a superset of the required one). Rarest-first
    ordering keeps posting groups small at corpus scale.
 4. one hash-partition shuffle of the postings, vectorized in-group
-   pair emission (`make_emit_pairs`), pair dedup,
+   pair emission restricted to length-compatible pairs
+   (``kernels.window_pairs``), pair dedup,
 5. verify: banded Levenshtein (band ``2k+1``) on the candidate pairs
    only — post-gate, output-proportional, each row fully vectorized
    with the min-accumulate trick so the DP is O(len) numpy row sweeps,
@@ -31,7 +32,9 @@ re-expressed on the repo's prefix-filter machinery):
 Pairs where either text is shorter than ``min_len`` code points are
 out of scope (callers pick ``min_len`` so their SQL-side prefilter —
 e.g. a shared-window pigeonhole join — stays complete; see
-``q_edit_pairs``).
+``q_edit_pairs``). ``min_len`` must leave every in-scope doc more than
+``q*k`` grams (``min_len - q + 1 > q*k``): a shorter doc can lose its
+whole gram set to k edits, so the prefix filter could miss its pairs.
 """
 
 from __future__ import annotations
@@ -90,11 +93,16 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
                         df_top_k: int = 100_000):
     """(lo, hi, dist) for every unordered doc pair with
     Levenshtein(text, text) <= k, both texts >= ``min_len`` code
-    points. Exact (the q-gram prefix filter is complete — header)."""
-    from mhray.kernels import hash_strings64  # noqa: F401  (doc parity)
-    from mhray.kernels import shingle_hashes64
+    points. Exact (the q-gram prefix filter is complete — header);
+    raises ValueError when ``min_len`` is too short for that proof."""
+    from mhray.kernels import shingle_hashes64, window_pairs
     from mhray.rayutil import attach_payload, scrub_blocks
 
+    if min_len - q + 1 <= q * k:
+        raise ValueError(
+            f"min_len={min_len} leaves {min_len - q + 1} {q}-grams per "
+            f"doc, not more than q*k={q * k}: {k} edits could destroy "
+            "them all and the prefix filter would miss pairs")
     num_parts = auto_parts(num_parts)
     R = q * k + 1  # prefix postings per doc
 
@@ -189,56 +197,18 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
         candidate emission: clustered corpora put whole near-dup
         cliques behind one rare gram, and emitting C(m,2) pairs per
         clique gram just to length-kill them later dominates the whole
-        join (measured 42s -> ~8s at sf0.1). Same searchsorted-window
-        + arange-expansion idiom as events.window_self_join: cost is
-        input + surviving output."""
-        keys = np.asarray(part.column("key"), dtype=np.int64)
+        join (measured 42s -> ~8s at sf0.1). Same window shape as
+        events.window_self_join: cost is input + surviving output."""
         iids = np.asarray(part.column("iid"), dtype=np.int64)
-        lens = np.asarray(part.column("len"), dtype=np.int64)
-        n = len(keys)
-        if n == 0:
-            return pa.table({"lo": pa.array([], pa.int64()),
-                             "hi": pa.array([], pa.int64())})
-        order = np.lexsort((iids, lens, keys))
-        g, d, ln = keys[order], iids[order], lens[order]
-        # per-row window end: rows after it in the same (key) run with
-        # len <= ln + k. Rows are (key, len)-sorted, so the window is
-        # a contiguous span found by ONE global searchsorted over a
-        # composite (key, len) ramp.
-        # composite ordering via cumulative group starts:
-        grp_start = np.ones(n, dtype=bool)
-        grp_start[1:] = g[1:] != g[:-1]
-        gidx = np.cumsum(grp_start) - 1
-        # BIG must exceed max(len)+k so (gidx, len) packs injectively,
-        # but a FIXED 2^40 would overflow int64 once a partition holds
-        # ~8M postings (gidx * 2^40 >= 2^63) — size it to the data
-        BIG = np.int64(1) << np.int64(
-            max(int(ln.max() + k + 1), 2).bit_length())
-        if int(gidx[-1]) >= (1 << 62) // int(BIG):
-            raise OverflowError(
-                "edit-join partition too large for the packed "
-                "(group, len) window key — raise num_parts")
-        ck = gidx * BIG + ln
-        hi_idx = np.searchsorted(ck, gidx * BIG + ln + k, side="right")
-        base = np.arange(n, dtype=np.int64)
-        cnt = hi_idx - base - 1
-        cnt = np.maximum(cnt, 0)
-        total = int(cnt.sum())
-        if total == 0:
-            return pa.table({"lo": pa.array([], pa.int64()),
-                             "hi": pa.array([], pa.int64())})
-        if total > group_cap * 100:
-            print(f"[mhray] edit-join pair emission large: {total} "
+        a, b = window_pairs(np.asarray(part.column("key"), dtype=np.int64),
+                            np.asarray(part.column("len"), dtype=np.int64), k)
+        if len(a) > group_cap * 100:
+            print(f"[mhray] edit-join pair emission large: {len(a)} "
                   "length-compatible candidates in one partition")
-        starts = np.zeros(n, np.int64)
-        np.cumsum(cnt[:-1], out=starts[1:])
-        src = np.repeat(base, cnt)
-        offset = np.arange(total, dtype=np.int64) - starts[src] + 1
-        other = src + offset
-        a, b = d[src], d[other]
+        x, y = iids[a], iids[b]
         return pa.table({
-            "lo": pa.array(np.minimum(a, b), pa.int64()),
-            "hi": pa.array(np.maximum(a, b), pa.int64()),
+            "lo": pa.array(np.minimum(x, y), pa.int64()),
+            "hi": pa.array(np.maximum(x, y), pa.int64()),
         })
 
     cands = grams.map_batches(prefix_postings, batch_format="pyarrow") \

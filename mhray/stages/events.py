@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from mhray.kernels import group_searchsorted, window_pairs
 from mhray.stages.candidates import _part_of, auto_parts
 
 
@@ -122,10 +123,8 @@ def window_self_join(ds, key_col: str, ts_col: str, id_col: str,
                      window_us: int, num_parts: int | None = None):
     """(lo, hi, gap_s) pairs of same-key rows within ``window_us`` of
     each other, canonical by id. Per-partition time sort + searchsorted
-    window bounds + arange expansion: cost is input + output, never the
-    per-key quadratic. Keys band onto disjoint time ranges via dense
-    rank x partition span (never raw ids — overflow), chunked if even
-    that cannot fit int64."""
+    window bounds + span expansion (``kernels.window_pairs``): cost is
+    input + output, never the per-key quadratic."""
     num_parts = auto_parts(num_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
@@ -141,39 +140,11 @@ def window_self_join(ds, key_col: str, ts_col: str, id_col: str,
         key = np.asarray(group.column("__key"), dtype=np.int64)
         ts = np.asarray(group.column("__ts"), dtype=np.int64)
         rid = np.asarray(group.column("__id"), dtype=np.int64)
-        if len(key) == 0:
-            return pa.table({"lo": pa.array([], pa.int64()),
-                             "hi": pa.array([], pa.int64()),
-                             "gap_s": pa.array([], pa.int64())})
-        order = np.lexsort((ts, key))
-        key, ts, rid = key[order], ts[order], rid[order]
-        new_k = np.ones(len(key), dtype=bool)
-        new_k[1:] = np.diff(key) != 0
-        dense = np.cumsum(new_k) - 1
-        tmin = ts.min()
-        span = int(ts.max()) - int(tmin) + window_us + 2
-        keys_per_chunk = max(1, (2 ** 62) // span)
-        outs = []
-        n_keys = int(dense[-1]) + 1
-        for base in range(0, n_keys, keys_per_chunk):
-            m = (dense >= base) & (dense < base + keys_per_chunk)
-            adj = (dense[m] - base) * span + (ts[m] - tmin)
-            tsc, ridc = ts[m], rid[m]
-            n = len(adj)
-            hi_b = np.searchsorted(adj, adj + window_us, side="right")
-            counts = hi_b - np.arange(n) - 1
-            a = np.repeat(np.arange(n), counts)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            b = np.arange(counts.sum()) - np.repeat(starts, counts) \
-                + np.repeat(np.arange(n) + 1, counts)
-            outs.append((np.minimum(ridc[a], ridc[b]),
-                         np.maximum(ridc[a], ridc[b]),
-                         (tsc[b] - tsc[a]) // 1_000_000))
+        a, b = window_pairs(key, ts, window_us)
         return pa.table({
-            "lo": pa.array(np.concatenate([o[0] for o in outs]), pa.int64()),
-            "hi": pa.array(np.concatenate([o[1] for o in outs]), pa.int64()),
-            "gap_s": pa.array(np.concatenate([o[2] for o in outs]),
-                              pa.int64()),
+            "lo": pa.array(np.minimum(rid[a], rid[b]), pa.int64()),
+            "hi": pa.array(np.maximum(rid[a], rid[b]), pa.int64()),
+            "gap_s": pa.array((ts[b] - ts[a]) // 1_000_000, pa.int64()),
         })
 
     return ds.map_batches(add_part, batch_format="pyarrow",
@@ -192,11 +163,10 @@ def range_window_count(ds, key_col: str, ts_col: str, id_col: str,
     <window> PRECEDING AND CURRENT ROW)`` semantics.
 
     Same distributed shape as :func:`window_self_join`: one key-hash
-    partition, per-partition time sort, then two vectorized
-    searchsorted probes per chunk (keys band onto disjoint time ranges
-    via dense rank x actual span — never raw ids, chunked if the
-    product cannot fit int64). Cost is O(n log n) per partition, no
-    per-row Python.
+    partition, per-partition time sort, then two vectorized per-key
+    searchsorted probes over one packed key
+    (``kernels.group_searchsorted``). Cost is
+    O(n log n) per partition, no per-row Python.
     """
     num_parts = auto_parts(num_parts)
 
@@ -213,26 +183,11 @@ def range_window_count(ds, key_col: str, ts_col: str, id_col: str,
         key = np.asarray(group.column("__key"), dtype=np.int64)
         ts = np.asarray(group.column("__ts"), dtype=np.int64)
         rid = np.asarray(group.column("__id"), dtype=np.int64)
-        if len(key) == 0:
-            return pa.table({key_col: pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             out_col: pa.array([], pa.int64())})
         order = np.lexsort((rid, ts, key))
         key, ts, rid = key[order], ts[order], rid[order]
-        new_k = np.ones(len(key), dtype=bool)
-        new_k[1:] = np.diff(key) != 0
-        dense = np.cumsum(new_k) - 1
-        tmin = ts.min()
-        span = int(ts.max()) - int(tmin) + window_us + 2
-        keys_per_chunk = max(1, (2 ** 62) // span)
-        n_keys = int(dense[-1]) + 1
-        cnt = np.empty(len(key), dtype=np.int64)
-        for base in range(0, n_keys, keys_per_chunk):
-            m = (dense >= base) & (dense < base + keys_per_chunk)
-            adj = (dense[m] - base) * span + (ts[m] - tmin)
-            upper = np.searchsorted(adj, adj, side="right")
-            lower = np.searchsorted(adj, adj - window_us, side="left")
-            cnt[m] = upper - lower
+        hi, lo = group_searchsorted(key, ts, (ts, "right"),
+                                    (ts - window_us, "left"))
+        cnt = hi - lo
         return pa.table({
             key_col: pa.array(key, pa.int64()),
             id_col: pa.array(rid, pa.int64()),

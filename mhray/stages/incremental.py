@@ -28,8 +28,8 @@ import pyarrow as pa
 import ray.data
 
 from mhray.config import MhapConfig
-from mhray.stages.candidates import (_pair_part, auto_parts,
-                                     explode_minhash_packed,
+from mhray.stages.candidates import (_cross_pairs, aggregate_pair_partials,
+                                     auto_parts, explode_minhash_packed,
                                      make_count_gate, unpack_entries)
 
 _PAIR_SCHEMA = pa.schema([
@@ -49,43 +49,13 @@ def make_emit_cross_pairs(cap: int, num_parts: int):
         role = np.asarray(part.column("role"), dtype=np.int8)
         qt = part.filter(pa.array(role == 0))
         it = part.filter(pa.array(role == 1))
-        if qt.num_rows == 0 or it.num_rows == 0:
-            return _PAIR_SCHEMA.empty_table()
         qk, qi = unpack_entries(qt)
         ik, ii = unpack_entries(it)
-
-        def grouped(keys, iids):
-            order = np.lexsort((iids, keys))
-            k, v = keys[order], iids[order]
-            starts = np.flatnonzero(np.diff(k, prepend=k[0] - 1))
-            return k[starts], starts, np.diff(np.append(starts, len(k))), v
-
-        quk, qstart, qcount, qv = grouped(qk, qi)
-        iuk, istart, icount, iv = grouped(ik, ii)
-        pos = np.minimum(np.searchsorted(iuk, quk), len(iuk) - 1)
-        both = iuk[pos] == quk
-        cj = np.flatnonzero(both)     # indices into q unique keys
-        ij = pos[cj]                  # matching indices into i unique keys
-        if len(cj) == 0:
-            return _PAIR_SCHEMA.empty_table()
-        nq = qcount[cj]
-        ni = icount[ij]
-        dropped = int(np.sum(nq[nq > cap] - cap) + np.sum(ni[ni > cap] - cap))
+        lo, hi, capped, dropped = _cross_pairs(qk, qi, ik, ii, cap)
         if dropped:
             print(f"[mhray] cross-pair group cap: dropped {dropped} ids in one partition")
-        capped_g = (nq > cap) | (ni > cap)
-        nq = np.minimum(nq, cap)
-        ni = np.minimum(ni, cap)
-        tot = nq * ni
-        offs = np.repeat(np.cumsum(tot) - tot, tot)
-        t = np.arange(int(tot.sum()), dtype=np.int64) - offs
-        ni_rep = np.repeat(ni, tot)
-        lo = qv[np.repeat(qstart[cj], tot) + t // ni_rep]
-        hi = iv[np.repeat(istart[ij], tot) + t % ni_rep]
-        capped = np.repeat(capped_g, tot)
-
-        from mhray.stages.candidates import aggregate_pair_partials
-
+        if len(lo) == 0:
+            return _PAIR_SCHEMA.empty_table()
         return aggregate_pair_partials(lo, hi, capped, num_parts)
 
     return emit_cross

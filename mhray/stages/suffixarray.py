@@ -60,7 +60,7 @@ def dedupe_member_sets(seth: np.ndarray, sizes: np.ndarray,
     shuffle), never drop one — dropping would be an unrecoverable
     false negative, since the verify stage only removes false
     POSITIVES."""
-    from mhray.kernels import _concat_aranges
+    from mhray.kernels import expand_spans
 
     vstart = np.cumsum(sizes) - sizes  # group slices within members
     grp_order = np.lexsort((members[vstart], sizes, seth))
@@ -72,9 +72,8 @@ def dedupe_member_sets(seth: np.ndarray, sizes: np.ndarray,
     keep_group = np.ones(len(sizes), bool)
     if len(cand):
         szs = size_s[cand]
-        gi = _concat_aranges(szs)
-        li = np.repeat(start_s[cand], szs) + gi
-        ri = np.repeat(start_s[cand + 1], szs) + gi
+        row, li = expand_spans(start_s[cand], start_s[cand] + szs)
+        ri = li + (start_s[cand + 1] - start_s[cand])[row]
         eq = members[li] == members[ri]
         bounds = np.cumsum(szs) - szs
         pair_eq = np.logical_and.reduceat(eq, bounds)
@@ -259,11 +258,10 @@ def suffix_array_pairs(ds, min_len: int = 32, window: int = 8,
         # collapse groups with identical membership inside this
         # partition (exact comparison keyed by an order-free set hash
         # — see dedupe_member_sets for the collision-safety argument)
-        from mhray.kernels import _concat_aranges
+        from mhray.kernels import expand_spans
 
         m_starts, m_kept = starts[multi], kept[multi]
-        idx = np.repeat(m_starts, m_kept) + _concat_aranges(m_kept)
-        gid_ord = np.repeat(np.arange(len(m_starts)), m_kept)
+        gid_ord, idx = expand_spans(m_starts, m_starts + m_kept)
         vv = v[idx]
         with np.errstate(over="ignore"):
             h = vv.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)

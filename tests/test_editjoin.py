@@ -95,3 +95,13 @@ def test_edit_distance_pairs_complete_on_planted(ray_session):
     # nothing else: random 160-char strings are nowhere near 4 edits
     extra = set(got) - set(truth)
     assert not extra, extra
+
+
+def test_edit_distance_pairs_rejects_too_short_min_len():
+    """Docs with no more than q*k grams could lose every gram to k
+    edits, so the prefix filter cannot promise completeness there."""
+    from mhray.stages.editjoin import edit_distance_pairs
+
+    with pytest.raises(ValueError, match="min_len"):
+        # 39 code points -> 32 8-grams = q*k: the first unsafe length
+        edit_distance_pairs(None, k=4, q=8, min_len=39)

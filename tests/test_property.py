@@ -50,6 +50,56 @@ def test_pairs_within_groups_complete_and_sound(entries, cap):
     assert np.all(lo <= hi)
 
 
+_small_or_huge = st.one_of(st.integers(0, 20), st.integers(0, 2**62))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), _small_or_huge),
+                min_size=0, max_size=150),
+       st.one_of(st.integers(0, 5), st.integers(0, 2**62 - 1)))
+def test_window_pairs_match_brute_force(entries, w):
+    """The window shape (edit-join length filter, event windows): every
+    same-key index pair with |v_a - v_b| <= w exactly once, whatever
+    the value range."""
+    from mhray.kernels import window_pairs
+
+    keys = np.asarray([k for k, _ in entries], dtype=np.int64)
+    vals = np.asarray([v for _, v in entries], dtype=np.int64)
+    a, b = window_pairs(keys, vals, w)
+    assert np.all(vals[a] <= vals[b])
+    got = sorted((min(x, y), max(x, y)) for x, y in zip(a.tolist(), b.tolist()))
+    exp = [(i, j) for i in range(len(entries)) for j in range(i + 1, len(entries))
+           if entries[i][0] == entries[j][0]
+           and abs(entries[i][1] - entries[j][1]) <= w]
+    assert got == exp
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 50)), max_size=150),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 50)), max_size=150),
+       st.integers(1, 10))
+def test_cross_pairs_capped_match_brute_force(query, index, cap):
+    """The capped query x index shape: all pairs over each side's first
+    ``cap`` members (smallest iids) per shared key, capped flags and
+    drop counts included."""
+    from mhray.stages.candidates import _cross_pairs
+
+    def arr(es, i):
+        return np.asarray([e[i] for e in es], dtype=np.int64)
+
+    lo, hi, capped, dropped = _cross_pairs(arr(query, 0), arr(query, 1),
+                                           arr(index, 0), arr(index, 1), cap)
+    exp, exp_dropped = [], 0
+    for k in sorted({k for k, _ in query} & {k for k, _ in index}):
+        qm = sorted(v for kk, v in query if kk == k)
+        im = sorted(v for kk, v in index if kk == k)
+        exp_dropped += max(len(qm) - cap, 0) + max(len(im) - cap, 0)
+        over = len(qm) > cap or len(im) > cap
+        exp += [(a, b, over) for a in qm[:cap] for b in im[:cap]]
+    assert sorted(zip(lo.tolist(), hi.tolist(), capped.tolist())) == sorted(exp)
+    assert dropped == exp_dropped
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1))
 def test_hamming_and_bit_jaccard_bounds(a, b):

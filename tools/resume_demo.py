@@ -17,10 +17,11 @@ over the same corpus:
            (manifest.json byte-identical and mtime unchanged) and the
            pair count must equal ref's
 
-Prints one JSON line. Run it on an otherwise-idle box: after the SIGKILL it
-force-kills any surviving Ray daemons (raylet/gcs) so the orphaned object
-store can't distort the resume leg — do NOT run concurrently with another
-Ray session.
+Prints one JSON line. Each phase runs its own Ray session under a fresh
+short temp dir; after the SIGKILL the tool force-kills that session's
+surviving processes (raylet, gcs_server, workers) so the orphaned object
+store can't distort the resume leg. Other Ray sessions on the machine are
+left alone, but their load still skews the timings.
 
 Usage: python tools/resume_demo.py [--rows 2000000] [--cpus 32] [--grace 15]
 """
@@ -33,6 +34,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,11 +42,45 @@ if REPO not in sys.path:  # `python tools/resume_demo.py` puts tools/
     sys.path.insert(0, REPO)  # on sys.path, not the repo root
 
 
-def child(images: str, out_dir: str, resume: bool, cpus: int) -> None:
+def session_pids(temp_dir: str) -> list[int]:
+    """Pids of the Ray session rooted at ``temp_dir``: every process
+    whose command line names a path under it (Ray passes it to
+    gcs_server, raylet and their helpers) plus all their descendants
+    (workers retitle themselves ``ray::...``, which hides the path,
+    but they are raylet's children). Never this process, and never a
+    process of another Ray session."""
+    needle = os.path.join(temp_dir, "").encode()
+    hits, children = set(), {}
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/cmdline", "rb") as f:
+                cmdline = f.read()
+            with open(f"/proc/{name}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+        children.setdefault(ppid, []).append(int(name))
+        if needle in cmdline:
+            hits.add(int(name))
+    stack = list(hits)
+    while stack:
+        for c in children.get(stack.pop(), ()):
+            if c not in hits:
+                hits.add(c)
+                stack.append(c)
+    hits.discard(os.getpid())
+    return sorted(hits)
+
+
+def child(images: str, out_dir: str, resume: bool, cpus: int,
+          temp_dir: str) -> None:
     import ray
 
     ray.init(address="local", num_cpus=cpus, include_dashboard=False,
-             logging_level="ERROR", log_to_driver=False)
+             logging_level="ERROR", log_to_driver=False,
+             _temp_dir=temp_dir)
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
@@ -64,15 +100,24 @@ def child(images: str, out_dir: str, resume: bool, cpus: int) -> None:
 
 def run_child(images: str, out_dir: str, resume: bool, cpus: int,
               kill_after_marker: float | None = None) -> dict:
-    """Run one phase as a fresh process group; optionally SIGKILL it
-    ``kill_after_marker`` seconds after s1's _SUCCESS appears."""
-    cmd = [sys.executable, os.path.abspath(__file__), "--child-run",
-           images, out_dir, str(int(resume)), str(cpus)]
-    t0 = time.time()
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True,
-                            cwd=REPO, start_new_session=True)
-    marker = os.path.join(out_dir, "s1_sketches", "_SUCCESS")
-    if kill_after_marker is not None:
+    """Run one phase as a fresh process group with its own Ray temp
+    dir; optionally SIGKILL it ``kill_after_marker`` seconds after s1's
+    _SUCCESS appears."""
+    # short: Ray's unix socket paths under it must stay < 108 bytes
+    with tempfile.TemporaryDirectory(prefix="mhr_", dir="/tmp",
+                                     ignore_cleanup_errors=True) as temp_dir:
+        cmd = [sys.executable, os.path.abspath(__file__), "--child-run",
+               images, out_dir, str(int(resume)), str(cpus), temp_dir]
+        t0 = time.time()
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True,
+                                cwd=REPO, start_new_session=True)
+        marker = os.path.join(out_dir, "s1_sketches", "_SUCCESS")
+        if kill_after_marker is None:
+            out, _ = proc.communicate()
+            if proc.returncode != 0:
+                raise RuntimeError(f"child failed rc={proc.returncode}")
+            line = [ln for ln in out.splitlines() if ln.startswith("{")][-1]
+            return json.loads(line)
         while proc.poll() is None and not os.path.exists(marker):
             time.sleep(0.25)
         if proc.poll() is not None:
@@ -85,25 +130,23 @@ def run_child(images: str, out_dir: str, resume: bool, cpus: int,
         killed_at = time.time() - t0
         os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
         proc.wait()
-        # reap any Ray daemons that escaped the process group so the
-        # orphaned object store can't hold memory into the next phase
+        # reap this session's Ray processes that escaped the process
+        # group so the orphaned object store can't hold memory into the
+        # next phase
         time.sleep(2)
-        for pat in ("raylet", "gcs_server", "ray::"):
-            subprocess.run(["pkill", "-9", "-f", pat],
-                           capture_output=True)
+        for pid in session_pids(temp_dir):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
         time.sleep(2)
         return {"killed_after_sec": round(killed_at, 2)}
-    out, _ = proc.communicate()
-    if proc.returncode != 0:
-        raise RuntimeError(f"child failed rc={proc.returncode}")
-    line = [ln for ln in out.splitlines() if ln.startswith("{")][-1]
-    return json.loads(line)
 
 
 def main() -> None:
     if len(sys.argv) > 1 and sys.argv[1] == "--child-run":
-        images, out_dir, resume, cpus = sys.argv[2:6]
-        child(images, out_dir, bool(int(resume)), int(cpus))
+        images, out_dir, resume, cpus, temp_dir = sys.argv[2:7]
+        child(images, out_dir, bool(int(resume)), int(cpus), temp_dir)
         return
 
     ap = argparse.ArgumentParser()
