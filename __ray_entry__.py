@@ -25,6 +25,7 @@ def entry() -> Any:
     import ray.data
 
     from mhray.config import PRESETS
+    from mhray.rayutil import attach_payload
     from mhray.stages.cluster import cluster_edges
     from mhray.stages.dedup import minhash_text_pairs
 
@@ -38,16 +39,17 @@ def entry() -> Any:
         n_rows_hint=parquet_num_rows(f"{sf_dir}/documents.parquet"),
     ).materialize()
     pair_clusters = cluster_edges(pairs.select_columns(["lo", "hi"]))
-    ids = docs.select_columns(["doc_id"])
-    assigned = ids.join(
-        pair_clusters.rename_columns({"iid": "doc_id"}),
-        join_type="left_outer", num_partitions=4,
-        on=("doc_id",), right_on=("doc_id",),
+    assigned = attach_payload(
+        docs.select_columns(["doc_id"]), "doc_id", pair_clusters, "iid",
+        ("cluster_id",), "c", how="left",
+        pairs_schema=pa.schema([("doc_id", pa.int64())]),
+        side_schema=pa.schema([("iid", pa.int64()),
+                               ("cluster_id", pa.int64())]),
     ).map_batches(
         lambda b: pa.table({
             "doc_id": b.column("doc_id"),
             "cluster_id": pa.compute.coalesce(
-                b.column("cluster_id"), b.column("doc_id").cast(pa.int64())),
+                b.column("cluster_id_c"), b.column("doc_id").cast(pa.int64())),
         }),
         batch_format="pyarrow",
     )

@@ -56,8 +56,7 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
               num_parts: int = 32, resume: bool = True,
               persist: bool = True,
               concurrency=None,
-              rep_broadcast_threshold: int = 2_000_000,
-              rep_pairs_broadcast_threshold: int = 2_000_000) -> dict:
+              rep_broadcast_threshold: int = 2_000_000) -> dict:
     """Run the full pipeline; returns dataset handles + output paths."""
 
     # s1: sketches + exact-caption rep assignment -------------------------
@@ -166,58 +165,13 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
     # scale) die without ever materializing row pairs.
     def compute_final_pairs():
         from mhray.rayutil import attach_payload
-        from mhray.stages.candidates import _part_of, make_pair_min
+        from mhray.stages.candidates import (cross_members, make_pair_min,
+                                             members_view, pack_members)
 
-        # --- pHash groups: (phash, members=packed (iid, rep_iid)) ----
-        def add_ppart(batch: pa.Table) -> pa.Table:
-            ph = np.asarray(batch.column("phash"), dtype=np.int64)
-            return pa.table({
-                "ppart": pa.array(_part_of(ph, num_parts), pa.int32()),
-                "phash": pa.array(ph, pa.int64()),
-                "iid": batch.column("iid"),
-                "rep_iid": batch.column("rep_iid"),
-            })
-
-        def pack_groups(part: pa.Table) -> pa.Table:
-            ph = np.asarray(part.column("phash"), dtype=np.int64)
-            iid = np.asarray(part.column("iid"), dtype=np.int64)
-            rep = np.asarray(part.column("rep_iid"), dtype=np.int64)
-            order = np.lexsort((iid, ph))
-            ph_s, iid_s, rep_s = ph[order], iid[order], rep[order]
-            new_g = np.ones(len(ph_s), dtype=bool)
-            if len(ph_s) > 1:
-                new_g[1:] = np.diff(ph_s) != 0
-            starts = np.flatnonzero(new_g)
-            sizes = np.diff(np.append(starts, len(ph_s)))
-            # one interleaved (iid, rep) buffer + offsets = the whole
-            # binary column, no per-group tobytes loop
-            flat = np.empty(2 * len(ph_s), dtype="<i8")
-            flat[0::2] = iid_s
-            flat[1::2] = rep_s
-            offs = (np.append(starts, len(ph_s)) * 16).astype(np.int32)
-            members = pa.Array.from_buffers(
-                pa.binary(), len(starts),
-                [None, pa.py_buffer(offs.tobytes()),
-                 pa.py_buffer(flat.tobytes())])
-            return pa.table({
-                "phash": pa.array(ph_s[starts], pa.int64()),
-                "members": members,
-                "n": pa.array(sizes, pa.int32()),
-            })
-
-        groups = valid.select_columns(["phash", "iid", "rep_iid"]) \
-            .map_batches(add_ppart, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-            .groupby("ppart", num_partitions=num_parts).map_groups(pack_groups,
-                                         batch_format="pyarrow").materialize()
-
-        def _members_flat(col):
-            """Whole-column zero-copy int64 views of a members column:
-            (iids, reps, member offsets), members interleaved 16 B."""
-            from mhray.rayutil import binary_flat_view
-
-            flat, moffs = binary_flat_view(col, 16, "<i8")
-            return flat[0::2], flat[1::2], moffs
+        # --- pHash groups: (phash, members = packed (iid, rep_iid)) ----
+        groups = pack_members(valid.select_columns(["phash", "iid", "rep_iid"]),
+                              "phash", ("iid", "rep_iid"),
+                              num_parts).materialize()
 
         _EXP_EMPTY = pa.table({
             "lo": pa.array([], pa.int64()), "hi": pa.array([], pa.int64()),
@@ -229,7 +183,7 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
         def expand_same(batch: pa.Table) -> pa.Table:
             from mhray.stages.candidates import _pairs_within_groups
 
-            iids, reps, moffs = _members_flat(batch.column("members"))
+            (iids, reps), moffs = members_view(batch.column("members"), 2)
             if len(iids) == 0:
                 return _EXP_EMPTY
             # group ordinal per member -> the tested ragged upper-
@@ -270,8 +224,7 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
             .groupby("pair_part", num_partitions=num_parts).map_groups(
                 make_pair_min("hamming"), batch_format="pyarrow")
 
-        g_schema = pa.schema([("phash", pa.int64()), ("members", pa.binary()),
-                              ("n", pa.int32())])
+        g_schema = pa.schema([("phash", pa.int64()), ("members", pa.binary())])
         pp_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
                                ("hamming", pa.int32())])
         pp = attach_payload(pp, "lo", groups, "phash", ("members",), "lo",
@@ -282,27 +235,23 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
                             num_parts, pairs_schema=mid, side_schema=g_schema)
 
         def expand_cross(batch: pa.Table) -> pa.Table:
-            """Ragged two-blob cartesian: every lo-group member's span
-            is its row's hi-group members, expanded in ONE vectorized
-            pass over the batch."""
-            from mhray.kernels import expand_spans
-
-            il, rl_all, mo_l = _members_flat(batch.column("members_lo"))
-            ih, rh_all, mo_h = _members_flat(batch.column("members_hi"))
-            hams = np.asarray(batch.column("hamming"), dtype=np.int32)
-            row = np.repeat(np.arange(batch.num_rows), np.diff(mo_l))
-            ga, gb = expand_spans(mo_h[:-1][row], mo_h[1:][row])
+            """Every lo-group member x every hi-group member of each
+            distinct-pHash pair."""
+            (il, rl), mo_l = members_view(batch.column("members_lo"), 2)
+            (ih, rh), mo_h = members_view(batch.column("members_hi"), 2)
+            row, ga, gb = cross_members(mo_l, mo_h)
             if len(ga) == 0:
                 return _EXP_EMPTY
-            ia, ra = il[ga], rl_all[ga]
-            ib, rb = ih[gb], rh_all[gb]
+            ia, ra = il[ga], rl[ga]
+            ib, rb = ih[gb], rh[gb]
             swap = ia > ib
+            hams = np.asarray(batch.column("hamming"), dtype=np.int32)
             return pa.table({
                 "lo": pa.array(np.where(swap, ib, ia), pa.int64()),
                 "hi": pa.array(np.where(swap, ia, ib), pa.int64()),
                 "rep_lo": pa.array(np.where(swap, rb, ra), pa.int64()),
                 "rep_hi": pa.array(np.where(swap, ra, rb), pa.int64()),
-                "hamming": pa.array(hams[row[ga]], pa.int32()),
+                "hamming": pa.array(hams[row], pa.int32()),
             })
 
         cross = pp.map_batches(expand_cross, batch_format="pyarrow",
@@ -329,74 +278,24 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
                 "score", pa.array(np.ones(b.num_rows), pa.float64())),
             batch_format="pyarrow",
         )
-        n_rep_pairs = rep_pairs.count()
-        if n_rep_pairs <= rep_pairs_broadcast_threshold:
-            # broadcast the verified rep-pair scores (small side)
-            import ray as _ray
-
-            pair_dt = np.dtype([("lo", "<i8"), ("hi", "<i8")])
-            if n_rep_pairs == 0:
-                # a 0-row dataset comes back COLUMN-LESS from
-                # to_pandas (Ray 2.49) — build the empty side directly
-                side = np.empty(0, dtype=pair_dt)
-                scores_arr = np.empty(0, np.float64)
-            else:
-                rows = rep_pairs.select_columns(
-                    ["lo", "hi", "score"]).to_pandas()
-                side = np.empty(len(rows), dtype=pair_dt)
-                side["lo"] = rows["lo"].to_numpy(np.int64)
-                side["hi"] = rows["hi"].to_numpy(np.int64)
-                scores_arr = rows["score"].to_numpy(np.float64)
-            order = np.argsort(side)
-            ref = _ray.put((side[order], scores_arr[order]))
-
-            def attach_score(batch: pa.Table) -> pa.Table:
-                side_s, sc = _ray.get(ref)
-                n = batch.num_rows
-                q = np.empty(n, dtype=pair_dt)
-                q["lo"] = np.asarray(batch.column("rlo"), np.int64)
-                q["hi"] = np.asarray(batch.column("rhi"), np.int64)
-                scores = np.full(n, -1.0)
-                if len(side_s):
-                    pos = np.minimum(np.searchsorted(side_s, q),
-                                     len(side_s) - 1)
-                    found = side_s[pos] == q
-                    scores[found] = sc[pos[found]]
-                keep = pa.array(scores >= 0)
-                return pa.table({
-                    "lo": batch.column("lo").filter(keep),
-                    "hi": batch.column("hi").filter(keep),
-                    "hamming": batch.column("hamming").filter(keep),
-                    "score": pa.array(scores[scores >= 0], pa.float64()),
-                })
-
-            diff = p.filter(expr="same_rep == False").map_batches(
-                attach_score, batch_format="pyarrow", zero_copy_batch=True)
-            return _with_substring(same.union(diff))
-
-        from mhray.rayutil import safe_join
-
-        rp = rep_pairs.select_columns(["lo", "hi", "score"]).rename_columns(
-            {"lo": "rlo", "hi": "rhi", "score": "rep_score"}
-        )
-        diff = safe_join(
-            p.filter(expr="same_rep == False"), rp,
-            join_type="inner", num_partitions=max(2, min(8, num_parts)),
-            on=("rlo", "rhi"), right_on=("rlo", "rhi"),
-            left_schema=pa.schema([
+        # final caption gate: each diff-rep pair inherits its rep
+        # pair's verified score; rep pairs that failed verify (absent
+        # from s2) drop the pair
+        diff = attach_payload(
+            p.filter(expr="same_rep == False"), ("rlo", "rhi"), rep_pairs,
+            ("lo", "hi"), ("score",), "rep", num_parts,
+            pairs_schema=pa.schema([
                 ("lo", pa.int64()), ("hi", pa.int64()),
                 ("hamming", pa.int32()), ("same_rep", pa.bool_()),
                 ("rlo", pa.int64()), ("rhi", pa.int64())]),
-            right_schema=pa.schema([
-                ("rlo", pa.int64()), ("rhi", pa.int64()),
-                ("rep_score", pa.float64())]),
+            side_schema=s2_schema,
         ).map_batches(
             lambda b: pa.table({
                 "lo": b.column("lo"), "hi": b.column("hi"),
                 "hamming": b.column("hamming"),
-                "score": b.column("rep_score"),
+                "score": b.column("score_rep"),
             }),
-            batch_format="pyarrow",
+            batch_format="pyarrow", zero_copy_batch=True,
         )
         return _with_substring(same.union(diff))
 

@@ -121,10 +121,14 @@ def q_topk_orders(sf_dir: str):
 def q_join_agg(sf_dir: str):
     """orders ⋈ customer grouped rollup (J2 equi-join analog), with the
     aggregation PUSHED BELOW the join: orders pre-aggregate to one
-    (custkey, cnt, total) row per customer inside map_batches + a
-    custkey groupby, so the join input shrinks from |orders| to
-    |customers| before any join work — the shape that holds at 100 TB
-    (fact-table rows never reach the join operator)."""
+    (custkey, cnt, total) row per customer per block inside
+    map_batches, then each partial picks up its customer's segment
+    through one keyed :func:`mhray.rayutil.attach_payload` on
+    ``c_custkey`` (customer broadcast while it fits, else one shuffle)
+    — fact-table rows never reach a join, the shape that holds at
+    100 TB."""
+    from mhray.rayutil import attach_payload
+
     o = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     c = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
@@ -138,31 +142,25 @@ def q_join_agg(sf_dir: str):
             "total": pa.array(np.bincount(inv, weights=tp), pa.float64()),
         })
 
-    # per-BLOCK partials only (no pre-join shuffle): join input is
+    # per-BLOCK partials only (no pre-attach shuffle): attach input is
     # bounded by blocks x |customers| regardless of fact-table size,
     # and the final segment groupby sums the partials
     per_cust = o.map_batches(partial, batch_format="pyarrow",
                              zero_copy_batch=True)
-    # Ray's join operator cannot take a zero-row side; an O(1)
-    # parquet-footer row check keeps the native (barrier-free) join on
-    # the hot path while an empty input short-circuits to the typed
-    # empty result instead of crashing
-    from mhray.checkpoint import parquet_num_rows
-
-    if parquet_num_rows(f"{sf_dir}/orders.parquet") == 0 or \
-            parquet_num_rows(f"{sf_dir}/customer.parquet") == 0:
-        return ray.data.from_arrow(pa.table({
-            "c_mktsegment": pa.array([], pa.string()),
-            "cnt": pa.array([], pa.int64()),
-            "total": pa.array([], pa.int64())}))
-    j = per_cust.join(c, join_type="inner", num_partitions=4,
-                      on=("o_custkey",), right_on=("c_custkey",))
-    agg = j.groupby("c_mktsegment").aggregate(
+    j = attach_payload(
+        per_cust, "o_custkey", c, "c_custkey", ("c_mktsegment",), "c",
+        pairs_schema=pa.schema([("o_custkey", pa.int64()),
+                                ("cnt", pa.int64()),
+                                ("total", pa.float64())]),
+        side_schema=pa.schema([("c_custkey", pa.int64()),
+                               ("c_mktsegment", pa.string())]))
+    agg = j.groupby("c_mktsegment_c").aggregate(
         Sum("cnt", alias_name="cnt"),
         Sum("total", alias_name="total"),
     )
     return agg.map_batches(
-        lambda b: _cast_round(b, ("cnt",), {"total": 2}),
+        lambda b: _cast_round(b.rename_columns(
+            ["c_mktsegment", "cnt", "total"]), ("cnt",), {"total": 2}),
         batch_format="pyarrow",
     )
 
@@ -1463,10 +1461,10 @@ def d_dup_triangles(sf_dir: str):
     component whose members share many triangles is a genuine dup
     clique; a chain-shaped component with none is the θ-tail artifact
     CALIBRATION.md characterizes. Edges are the oracle-green
-    d_jaccard_pairs set; counting is two distributed joins
+    d_jaccard_pairs set; counting is a middle-vertex wedge emitter and
+    a keyed closing attach on (a, c)
     (:func:`mhray.stages.cluster.triangle_counts`); the SQL oracle
-    re-derives the same edges and closes wedges with the same two
-    joins."""
+    re-derives the same edges and closes wedges with two joins."""
     from mhray.stages.cluster import triangle_counts
     from mhray.stages.dedup import ngram_jaccard_pairs
 
@@ -1482,11 +1480,12 @@ def d_cluster_stats(sf_dir: str):
     chain-vs-clique shape are one division away (kept as exact
     integers here so the oracle compares bit-for-bit). Composes three
     oracle-green pieces: the d_jaccard_pairs edge set, the
-    d_cluster_components min-label clustering, and one
-    threshold-guarded attach to tag each edge with its component
-    (both endpoints share one by definition, so tagging `lo`
-    suffices)."""
-    from mhray.rayutil import attach_payload, safe_join
+    d_cluster_components min-label clustering, and threshold-guarded
+    keyed attaches: one tags each edge with its component (both
+    endpoints share one by definition, so tagging `lo` suffices), one
+    pairs each component's member count with its edge count on
+    ``cluster_id``."""
+    from mhray.rayutil import attach_payload
     from mhray.stages.cluster import cluster_edges
     from mhray.stages.dedup import ngram_jaccard_pairs
 
@@ -1520,16 +1519,17 @@ def d_cluster_stats(sf_dir: str):
             "n_edges": b.column("n_edges").cast(pa.int64())}),
         batch_format="pyarrow")
 
-    joined = safe_join(
-        members, edge_counts.rename_columns(
-            {"cluster_id": "_ec_cid"}),
-        join_type="inner", num_partitions=max(2, min(8, num_parts)),
-        on=("cluster_id",), right_on=("_ec_cid",),
-        left_schema=pa.schema([("cluster_id", pa.int64()),
-                               ("n_members", pa.int64())]),
-        right_schema=pa.schema([("_ec_cid", pa.int64()),
-                                ("n_edges", pa.int64())]))
-    return joined.select_columns(["cluster_id", "n_members", "n_edges"])
+    # materialized: the attach's broadcast-fit count and its side
+    # fetch would otherwise each run the groupby
+    edge_counts = edge_counts.materialize()
+    joined = attach_payload(
+        members, "cluster_id", edge_counts, "cluster_id", ("n_edges",), "e",
+        num_parts,
+        pairs_schema=pa.schema([("cluster_id", pa.int64()),
+                                ("n_members", pa.int64())]),
+        side_schema=pa.schema([("cluster_id", pa.int64()),
+                               ("n_edges", pa.int64())]))
+    return joined.rename_columns({"n_edges_e": "n_edges"})
 
 
 def q_outer_join(sf_dir: str):
@@ -3663,8 +3663,9 @@ ORACLE_SQL["d_edit_pairs"] = """
 
 # Triangle counts compose the d_jaccard_pairs oracle as the edge CTE
 # (one definition of the edge set — the two can never drift apart);
-# wedge join + composite-key closure mirror the engine's two
-# safe_joins, then each triangle contributes one row per corner.
+# the wedge join + composite-key closure mirror the engine's wedge
+# emitter and (a, c) attach, then each triangle contributes one row
+# per corner.
 ORACLE_SQL["d_dup_triangles"] = f"""
     WITH e AS ({ORACLE_SQL["d_jaccard_pairs"]}),
     tri AS (

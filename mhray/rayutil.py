@@ -1,16 +1,23 @@
-"""Ray Data robustness utilities.
+"""Ray Data keyed-lookup utilities: every join in mhray is one of these.
 
-Ray's sort-based groupby/aggregate emits schema-less EMPTY blocks for
-empty partitions; map_batches UDFs are skipped for them, so they
-survive into downstream hash joins, whose per-partition pyarrow join
-then fails with 'No match ... for key field'. ``safe_join`` scrubs
-both sides:
+- :func:`attach_payload` (and :func:`prepared_attacher` /
+  :func:`attach_payload_both` for one side read by several keys) is the
+  key -> payload lookup: a side with unique keys is broadcast once
+  (``ray.put``, searchsorted per batch) below a row/byte threshold and
+  met in ONE sort shuffle above it. Keys are one int64 column or a pair
+  of them.
+- :func:`anti_join_ids` / :func:`semi_join_ids` keep or drop rows by
+  key membership, with the same broadcast-or-shuffle choice.
+- Many-to-many joins (triangle wedges, rep -> member expansion) are a
+  ``groupby(...).map_groups`` emitter in the stage that needs them.
 
-- ``repartition(n)`` coalesces blocks, absorbing schema-less empties
-  into typed neighbors (cheap: no key shuffle);
-- when a side could be ENTIRELY empty (e.g. zero candidate pairs), a
-  typed empty block is unioned in so the join can still resolve the
-  schema.
+None of them uses Ray's join operator, whose hash-shuffle aggregator
+pools dominated at the pair counts these stages see, and which could
+not execute a zero-row side. Ray's sort-based groupby emits
+schema-less EMPTY blocks for empty partitions and ``map_batches`` skips
+zero-row blocks, so every UDF here reads columns only from non-empty
+batches; :func:`scrub_blocks` remains for consumers that need a typed
+schema on an all-empty dataset.
 """
 
 from __future__ import annotations
@@ -96,6 +103,34 @@ def _broadcast_fits(side_ds, threshold_rows: int,
             and (side_bytes is None or side_bytes <= threshold_bytes))
 
 
+def _key_names(key) -> tuple:
+    return (key,) if isinstance(key, str) else tuple(key)
+
+
+def _key_values(table: pa.Table, key):
+    """One int64 key column as an int64 array; a two-column key as a
+    structured ``(k0, k1)`` int64 array, which numpy compares, sorts
+    and searchsorts lexicographically — exact for any 64-bit pair,
+    where packing two iids into one int64 or hashing them is not."""
+    import numpy as np
+
+    names = _key_names(key)
+    if len(names) == 1:
+        return np.asarray(table.column(names[0]), dtype=np.int64)
+    out = np.empty(table.num_rows, np.dtype([("k0", "<i8"), ("k1", "<i8")]))
+    for f, name in zip(("k0", "k1"), names):
+        out[f] = np.asarray(table.column(name), dtype=np.int64)
+    return out
+
+
+def _key_order(keys):
+    import numpy as np
+
+    if keys.dtype.names is None:
+        return np.argsort(keys)
+    return np.lexsort((keys["k1"], keys["k0"]))
+
+
 def _prepare_broadcast_side(side_ds, side_key, payload_cols):
     """ONE driver fetch + key sort + ray.put of the side payload,
     reusable across several lookup stages. A zero-block side (an empty
@@ -106,17 +141,18 @@ def _prepare_broadcast_side(side_ds, side_key, payload_cols):
 
     import ray
 
+    names = _key_names(side_key)
     tables = [ray.get(r) for r in side_ds.to_arrow_refs()]
     # filter on KEY PRESENCE only (same guard as anti_join_ids): a
     # schema-less empty block means "no keys", and a keyless non-empty
     # block must not be null-promoted into the key column
-    tables = [t for t in tables if side_key in t.schema.names]
+    tables = [t for t in tables if names[0] in t.schema.names]
     if not tables:
         return ray.put((np.empty(0, np.int64),
                         {c: None for c in payload_cols}))
     side_tbl = pa.concat_tables(tables, promote_options="default")
-    keys = np.asarray(side_tbl.column(side_key), dtype=np.int64)
-    order = np.argsort(keys)
+    keys = _key_values(side_tbl, side_key)
+    order = _key_order(keys)
     payloads = {c: side_tbl.column(c).take(pa.array(order, pa.int64()))
                 .combine_chunks() for c in payload_cols}
     return ray.put((keys[order], payloads))
@@ -134,7 +170,7 @@ def _attach_broadcast(pairs_ds, key_col, side_ds, side_key, payload_cols,
 
     def lookup(batch: pa.Table) -> pa.Table:
         ks, pl = ray.get(ref)
-        k = np.asarray(batch.column(key_col), dtype=np.int64)
+        k = _key_values(batch, key_col)
         if len(ks):
             pos = np.minimum(np.searchsorted(ks, k), len(ks) - 1)
             found = ks[pos] == k
@@ -174,9 +210,7 @@ def scrub_blocks(ds, schema: pa.Schema | None = None, num_blocks: int = 8):
     schema even for an all-empty dataset: a typed empty block is
     unioned in AFTER the repartition (repartition of an ALL-empty
     dataset strips every block's schema, so it must come first) so a
-    downstream join always sees at least one TYPED bundle — an
-    all-empty candidate set otherwise fails the acero join with
-    'no match for key field'."""
+    downstream consumer always sees at least one TYPED bundle."""
     # repartition FIRST (absorbs schema-less empties into typed
     # neighbors when any data exists), then union the typed empty so
     # it survives — repartition of an ALL-empty dataset strips the
@@ -185,61 +219,6 @@ def scrub_blocks(ds, schema: pa.Schema | None = None, num_blocks: int = 8):
     if schema is not None:
         out = out.union(ray.data.from_arrow(schema.empty_table()))
     return out
-
-
-def safe_join(left, right, join_type: str, num_partitions: int,
-              on: tuple, right_on: tuple,
-              left_schema: pa.Schema | None = None,
-              right_schema: pa.Schema | None = None):
-    """Dataset.join with empty-block scrubbing on both sides.
-
-    Both sides materialize and then REBUILD from their non-empty block
-    refs (metadata-only — no block is fetched to the driver): any
-    schema-less empty block that reaches the join operator breaks its
-    key-schema resolution ('no match or multiple matches for key
-    field'), and neither union order nor repartition can remove them
-    from an all-empty dataset (repartition strips the schema from
-    every block of a zero-row dataset). safe_join is only used on
-    candidate-scale tables, so the barrier is cheap."""
-    left = _nonempty_blocks(left, left_schema, num_partitions)
-    right = _nonempty_blocks(right, right_schema, num_partitions)
-    if join_type == "inner" and (left.count() == 0 or right.count() == 0):
-        # Ray's join operator cannot execute with a zero-row side (its
-        # hash partitions arrive schema-less at the acero join); an
-        # inner join with an empty side is just an empty table with
-        # the combined schema
-        def _schema_of(ds, override):
-            if override is not None:
-                return override
-            s = ds.schema()
-            return getattr(s, "base_schema", s)
-
-        ls = _schema_of(left, left_schema)
-        rs = _schema_of(right, right_schema)
-        fields = list(ls) + [f for f in rs if f.name not in ls.names]
-        return ray.data.from_arrow(pa.schema(fields).empty_table())
-    return left.join(right, join_type=join_type,
-                     num_partitions=num_partitions, on=on, right_on=right_on)
-
-
-def _nonempty_blocks(ds, schema: pa.Schema | None, num_blocks: int):
-    """Materialize and rebuild from refs to non-empty blocks only;
-    an all-empty dataset becomes one typed empty block (or stays
-    as-is when no schema is supplied)."""
-    mat = ds.materialize()
-    refs = []
-    try:
-        for bundle in mat.iter_internal_ref_bundles():
-            for ref, meta in bundle.blocks:
-                if meta.num_rows is None or meta.num_rows > 0:
-                    refs.append(ref)
-    except AttributeError:  # internal API moved: fall back to scrubbing
-        return scrub_blocks(mat, schema, num_blocks)
-    if not refs:
-        if schema is not None:
-            return ray.data.from_arrow(schema.empty_table())
-        return mat
-    return ray.data.from_arrow_refs(refs)
 
 
 def anti_join_ids(ds, ids_ds, key_col: str, ids_key: str | None = None,
@@ -353,27 +332,31 @@ def semi_join_ids(ds, ids_ds, key_col: str, ids_key: str | None = None,
                          keep_matches=True)
 
 
-def attach_payload(pairs_ds, key_col: str, side_ds, side_key: str,
+def attach_payload(pairs_ds, key_col, side_ds, side_key,
                    payload_cols: tuple, out_suffix: str,
                    num_parts: int = 16, how: str = "inner",
                    pairs_schema: pa.Schema | None = None,
                    side_schema: pa.Schema | None = None,
                    broadcast_threshold_rows: int = 1_500_000):
-    """Equi-join expressed as ONE sort shuffle (union + groupby part +
-    partition-local merge) instead of a join-operator actor pool —
-    the cheap path for attaching per-key payloads (e.g. sketches) to a
-    pair table. The side must have UNIQUE keys.
+    """Key -> payload lookup for a pair table: ``side_ds`` (UNIQUE
+    keys) is broadcast once below the row/byte threshold
+    (:func:`_broadcast_fits`), else met in ONE sort shuffle (union +
+    groupby part + partition-local searchsorted merge) — never a
+    join-operator actor pool.
 
-    Returns pairs columns + ``<payload>_<out_suffix>`` columns; with
-    how='inner' pairs without a matching side key are dropped.
+    ``key_col`` / ``side_key`` name one int64 column or a tuple of two
+    (a composite key: the shuffle partitions on the first column and
+    both paths match on both). Returns the pairs columns +
+    ``<payload>_<out_suffix>`` columns; ``how='inner'`` drops pairs
+    without a side match, ``how='left'`` keeps them with null payloads.
+    Pass both schemas when the inputs are lazy: a ``schema()`` probe
+    executes the plan.
     """
     import numpy as np
 
     import pyarrow.compute as pc
 
     def _pa_schema(ds) -> pa.Schema:
-        # NOTE: schema() on a lazy dataset triggers execution — callers
-        # with non-trivial upstream plans should pass schemas explicitly
         s = ds.schema()
         return getattr(s, "base_schema", s)
 
@@ -387,29 +370,32 @@ def attach_payload(pairs_ds, key_col: str, side_ds, side_key: str,
                                  payload_cols, out_suffix, how,
                                  pair_names, payload_types)
 
-    def tag_pairs(batch: pa.Table) -> pa.Table:
+    knames = [f"__k{i}" for i in range(len(_key_names(key_col)))]
+
+    def tag(batch: pa.Table, key, role: int) -> dict:
         from mhray.stages.candidates import _part_of
 
-        key = np.asarray(batch.column(key_col), dtype=np.int64)
-        cols = {n: batch.column(n) for n in pair_names}
-        cols["__part"] = pa.array(_part_of(key, num_parts), pa.int32())
-        cols["__role"] = pa.array(np.zeros(len(key), np.int8), pa.int8())
-        cols["__key"] = pa.array(key, pa.int64())
+        n = batch.num_rows
+        cols = {f"__k{i}": pa.array(np.asarray(batch.column(c),
+                                               dtype=np.int64), pa.int64())
+                for i, c in enumerate(_key_names(key))}
+        cols["__part"] = pa.array(
+            _part_of(np.asarray(cols["__k0"]), num_parts), pa.int32())
+        cols["__role"] = pa.array(np.full(n, role, np.int8), pa.int8())
+        return cols
+
+    def tag_pairs(batch: pa.Table) -> pa.Table:
+        cols = tag(batch, key_col, 0)
+        cols.update({n: batch.column(n) for n in pair_names})
         for c in payload_cols:
-            cols[f"__p_{c}"] = pa.nulls(len(key), payload_types[c])
+            cols[f"__p_{c}"] = pa.nulls(batch.num_rows, payload_types[c])
         return pa.table(cols)
 
     def tag_side(batch: pa.Table) -> pa.Table:
-        from mhray.stages.candidates import _part_of
-
-        key = np.asarray(batch.column(side_key), dtype=np.int64)
-        n = len(key)
-        cols = {}
-        for name in pair_names:
-            cols[name] = pa.nulls(n, pair_schema.field(name).type)
-        cols["__part"] = pa.array(_part_of(key, num_parts), pa.int32())
-        cols["__role"] = pa.array(np.ones(n, np.int8), pa.int8())
-        cols["__key"] = pa.array(key, pa.int64())
+        cols = tag(batch, side_key, 1)
+        cols.update({name: pa.nulls(batch.num_rows,
+                                    pair_schema.field(name).type)
+                     for name in pair_names})
         for c in payload_cols:
             cols[f"__p_{c}"] = batch.column(c)
         return pa.table(cols)
@@ -421,10 +407,10 @@ def attach_payload(pairs_ds, key_col: str, side_ds, side_key: str,
 
     def merge(part: pa.Table) -> pa.Table:
         role = np.asarray(part.column("__role"))
-        keys = np.asarray(part.column("__key"), dtype=np.int64)
+        keys = _key_values(part, knames)
         is_side = role == 1
         side_keys = keys[is_side]
-        order = np.argsort(side_keys)
+        order = _key_order(side_keys)
         side_sorted = side_keys[order]
         pr_mask = ~is_side
         pr_keys = keys[pr_mask]

@@ -37,16 +37,14 @@ from mhray.config import MhapConfig
 INT32_MIN = np.iinfo(np.int32).min
 
 
-def auto_parts(requested=None, lo: int = 2, hi: int = 32):
-    """Shuffle/join partition count clamped to the cluster CPU count —
-    more join partitions than CPUs stalls the local hash-shuffle
-    aggregator pool."""
+def auto_parts(requested=None):
+    """Shuffle partition count: the caller's, else one per cluster CPU
+    (at least 2)."""
     if requested is not None:
         return requested
     import ray
 
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return max(lo, min(hi, cpus))
+    return max(2, int(ray.cluster_resources().get("CPU", 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +263,78 @@ def _cross_pairs(qkeys: np.ndarray, qiids: np.ndarray,
                         span_lo + np.where(live, np.repeat(ikept, qn), 0))
     capped = np.repeat((qn > cap) | (in_[pos] > cap), qn)[a]
     return qiids[qo][a], iiids[io][b], capped, dropped
+
+
+# ---------------------------------------------------------------------------
+# rep -> member expansion
+# ---------------------------------------------------------------------------
+
+def pack_members(ds, key_col: str, member_cols: tuple, num_parts: int):
+    """One row per distinct ``key_col`` value: ``(key_col, members)``,
+    where ``members`` packs that key's rows, sorted by ``member_cols``,
+    as interleaved little-endian int64 (8 B per member column) — one
+    shuffle on the key, and lazy: materialize before attaching it.
+
+    The rep -> member expansion: attach these blobs to rep pairs with
+    :func:`mhray.rayutil.attach_payload`, read them with
+    :func:`members_view` and expand them with :func:`cross_members`."""
+    width = len(member_cols)
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        k = np.asarray(batch.column(key_col), dtype=np.int64)
+        cols = {"__part": pa.array(_part_of(k, num_parts), pa.int32()),
+                key_col: pa.array(k, pa.int64())}
+        cols.update({c: batch.column(c) for c in member_cols})
+        return pa.table(cols)
+
+    def pack(part: pa.Table) -> pa.Table:
+        k = np.asarray(part.column(key_col), dtype=np.int64)
+        vals = [np.asarray(part.column(c), dtype=np.int64)
+                for c in member_cols]
+        order = np.lexsort((*reversed(vals), k))
+        k_s = k[order]
+        new_g = np.ones(len(k_s), dtype=bool)
+        new_g[1:] = k_s[1:] != k_s[:-1]
+        starts = np.flatnonzero(new_g)
+        # one interleaved buffer + offsets = the whole binary column,
+        # no per-group tobytes loop
+        flat = np.empty((len(k_s), width), dtype="<i8")
+        for i, v in enumerate(vals):
+            flat[:, i] = v[order]
+        offs = (np.append(starts, len(k_s)) * 8 * width).astype(np.int32)
+        members = pa.Array.from_buffers(
+            pa.binary(), len(starts),
+            [None, pa.py_buffer(offs.tobytes()), pa.py_buffer(flat.tobytes())])
+        return pa.table({key_col: pa.array(k_s[starts], pa.int64()),
+                         "members": members})
+
+    return ds.map_batches(add_part, batch_format="pyarrow",
+                          zero_copy_batch=True) \
+        .groupby("__part", num_partitions=num_parts) \
+        .map_groups(pack, batch_format="pyarrow")
+
+
+def members_view(col, width: int):
+    """A :func:`pack_members` column as zero-copy views: one int64
+    array per member column over every row's members, and per-row
+    member offsets."""
+    from mhray.rayutil import binary_flat_view
+
+    flat, offs = binary_flat_view(col, 8 * width, "<i8")
+    return [flat[i::width] for i in range(width)], offs
+
+
+def cross_members(lo_offs: np.ndarray, hi_offs: np.ndarray):
+    """Every (row, a, b) where member ``a`` lies in the row's lo span
+    and member ``b`` in its hi span (offsets as :func:`members_view`
+    returns them): the ragged per-row cross, in one ``expand_spans``
+    pass over the batch. ``a`` / ``b`` index the flat member arrays;
+    the caller builds its own columns from them."""
+    from mhray.kernels import expand_spans
+
+    row = np.repeat(np.arange(len(lo_offs) - 1), np.diff(lo_offs))
+    a, b = expand_spans(hi_offs[:-1][row], hi_offs[1:][row])
+    return row[a], a, b
 
 
 def aggregate_pair_partials(lo: np.ndarray, hi: np.ndarray,

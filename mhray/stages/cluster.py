@@ -2,13 +2,14 @@
 
 Not in the reference — MHAP emits pairs and Canu consumes them
 (SURVEY.md D4). We cluster with iterative min-label propagation
-expressed as groupby/join rounds (the log-rounds CC scheme of
-"Finding connected components in map-reduce in logarithmic rounds",
-ICDE 2013, per PAPERS.md): labels start as node ids; every round each
-node adopts the minimum label in its neighborhood; a driver-side
-fixpoint loop materializes only the (node, label) table — which holds
-one row per node that appears in ANY pair (tiny relative to the
-corpus), never the corpus itself.
+expressed as map-reduce rounds (the log-rounds CC scheme of "Finding
+connected components in map-reduce in logarithmic rounds", ICDE 2013,
+per PAPERS.md): labels start as node ids; every round each node
+adopts the minimum label in its neighborhood, read through keyed
+attaches (:func:`mhray.rayutil.attach_payload`) and one groupby-min;
+a driver-side fixpoint loop materializes only the (node, label) table
+— which holds one row per node that appears in ANY pair (tiny
+relative to the corpus), never the corpus itself.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ def cluster_edges(pairs_ds, max_rounds: int = 50,
                   stats: dict | None = None) -> "ray.data.Dataset":
     """pairs(lo, hi) -> (iid, cluster_id) for every node in a pair.
 
-    Label propagation with path-halving via a label->label join each
-    round; converges in O(log n) rounds for the small dense clusters
-    near-dup detection produces (diameter-bound in general).
+    Label propagation with path-halving (each label replaced by its
+    own label's label, a keyed attach) each round; converges in
+    O(log n) rounds for the small dense clusters near-dup detection
+    produces (diameter-bound in general).
 
     Edge sets are orders of magnitude smaller than the corpus (only
     verified duplicate pairs), so below ``driver_threshold`` edges the
@@ -80,28 +82,35 @@ def cluster_edges(pairs_ds, max_rounds: int = 50,
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
 
+    from mhray.rayutil import attach_payload
+
+    directed_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+    labels_schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
+    cand_schema = pa.schema([("node", pa.int64()), ("cand", pa.int64())])
     rounds = 0
     for _ in range(max_rounds):
         rounds += 1
         # propagate: each node's candidate = min over neighbors' labels
-        msgs = directed.join(
-            labels, join_type="inner", num_partitions=num_partitions,
-            on=("src",), right_on=("node",),
-        )  # (src, dst, label): label of src flows to dst
-        cand = msgs.groupby("dst").min("label").rename_columns(
-            {"dst": "node", "min(label)": "cand"}
-        )
-        merged = labels.join(
-            cand, join_type="left_outer", num_partitions=num_partitions,
-            on=("node",), right_on=("node",),
-        )
+        # (the label of src flows to dst); materialized so the attach's
+        # broadcast-fit count does not run the groupby a second time
+        msgs = attach_payload(directed, "src", labels, "node", ("label",),
+                              "src", num_partitions,
+                              pairs_schema=directed_schema,
+                              side_schema=labels_schema)
+        cand = msgs.groupby("dst").min("label_src").rename_columns(
+            {"dst": "node", "min(label_src)": "cand"}
+        ).materialize()
+        merged = attach_payload(labels, "node", cand, "node", ("cand",),
+                                "c", num_partitions, how="left",
+                                pairs_schema=labels_schema,
+                                side_schema=cand_schema)
 
         def take_min(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
 
             lab = batch.column("label")
-            cand = pc.coalesce(batch.column("cand"), lab)
-            new = pc.min_element_wise(lab, cand)
+            new = pc.min_element_wise(lab, pc.coalesce(batch.column("cand_c"),
+                                                       lab))
             return pa.table({
                 "node": batch.column("node"),
                 "label": new,
@@ -116,14 +125,15 @@ def cluster_edges(pairs_ds, max_rounds: int = 50,
             break
 
         # pointer-halving: label <- label's label (accelerates chains)
-        lab_of = labels.rename_columns({"node": "l_node", "label": "l_label"})
-        labels = labels.join(
-            lab_of, join_type="left_outer", num_partitions=num_partitions,
-            on=("label",), right_on=("l_node",),
+        labels = attach_payload(
+            labels, "label", labels, "node", ("label",), "up",
+            num_partitions, how="left", pairs_schema=labels_schema,
+            side_schema=labels_schema,
         ).map_batches(
             lambda b: pa.table({
                 "node": b.column("node"),
-                "label": pa.compute.coalesce(b.column("l_label"), b.column("label")),
+                "label": pa.compute.coalesce(b.column("label_up"),
+                                             b.column("label")),
             }),
             batch_format="pyarrow",
         ).materialize()
@@ -160,57 +170,31 @@ def _cluster_driver_side(edges) -> "ray.data.Dataset":
     }))
 
 
-def assign_clusters(sketches_ds, pair_clusters, num_partitions: int = 16,
-                    broadcast_threshold: int = 10_000_000):
+def assign_clusters(sketches_ds, pair_clusters, num_partitions: int = 16):
     """Full assignment (image_id, iid, cluster_id): nodes not in any
     accepted pair are singleton clusters of themselves.
 
     The pair-cluster table holds only nodes that appear in a verified
-    dup pair; below ``broadcast_threshold`` it is ray.put once and
-    looked up per batch (no corpus-wide shuffle); above, a left join."""
-    base = sketches_ds.select_columns(["image_id", "iid"])
-    n = pair_clusters.count()
-    if n <= broadcast_threshold:
-        if n == 0:
-            # a 0-row dataset comes back column-less from to_pandas
-            # (Ray 2.49): every node is then its own singleton
-            keys = np.empty(0, np.int64)
-            vals = np.empty(0, np.int64)
-        else:
-            rows = pair_clusters.to_pandas()
-            keys = rows["iid"].to_numpy(dtype=np.int64)
-            vals = rows["cluster_id"].to_numpy(dtype=np.int64)
-        order = np.argsort(keys)
-        ref = ray.put((keys[order], vals[order]))
+    dup pair; one left :func:`mhray.rayutil.attach_payload` (broadcast
+    while it fits, else one shuffle) tags every row, and an untagged
+    row keeps its own iid."""
+    from mhray.rayutil import attach_payload
 
-        def lookup(batch: pa.Table) -> pa.Table:
-            k, v = ray.get(ref)
-            iid = np.asarray(batch.column("iid"), dtype=np.int64)
-            if len(k):
-                pos = np.minimum(np.searchsorted(k, iid), len(k) - 1)
-                cl = np.where(k[pos] == iid, v[pos], iid)
-            else:
-                cl = iid
-            return pa.table({
-                "image_id": batch.column("image_id"),
-                "iid": batch.column("iid"),
-                "cluster_id": pa.array(cl, pa.int64()),
-            })
-
-        return base.map_batches(lookup, batch_format="pyarrow",
-                                zero_copy_batch=True)
-
-    joined = base.join(
-        pair_clusters, join_type="left_outer", num_partitions=num_partitions,
-        on=("iid",), right_on=("iid",),
-    )
+    joined = attach_payload(
+        sketches_ds.select_columns(["image_id", "iid"]), "iid",
+        pair_clusters, "iid", ("cluster_id",), "c", num_partitions,
+        how="left",
+        pairs_schema=pa.schema([("image_id", pa.string()),
+                                ("iid", pa.int64())]),
+        side_schema=pa.schema([("iid", pa.int64()),
+                               ("cluster_id", pa.int64())]))
 
     def fill(batch: pa.Table) -> pa.Table:
         return pa.table({
             "image_id": batch.column("image_id"),
             "iid": batch.column("iid"),
             "cluster_id": pa.compute.coalesce(
-                batch.column("cluster_id"), batch.column("iid")
+                batch.column("cluster_id_c"), batch.column("iid")
             ),
         })
 
@@ -226,14 +210,16 @@ def triangle_counts(edges, num_parts: int = 8,
     none is the θ-tail artifact the calibration curve characterizes).
 
     ``edges`` must be canonical (lo < hi, one row per undirected
-    edge). Standard two-join formulation, both joins distributed
-    (:func:`mhray.rayutil.safe_join`): wedges = E ⋈ E on the middle
-    vertex (id-orientation already spreads clique work: a member of an
-    m-clique is the middle of rank·(m−rank) wedges, never m²), then a
-    composite-key semi-join against E closes each wedge. Exact — no
-    caps; wedge volume is Σ_b deg⁻(b)·deg⁺(b), the same
-    output-proportional bound the oracle's SQL joins pay. Returns
-    (doc_id, n_tri) for every vertex in ≥1 triangle.
+    edge). Wedges are a groupby on the middle vertex whose emitter
+    crosses each vertex's in-edges with its out-edges
+    (``kernels.expand_spans``; id-orientation already spreads clique
+    work: a member of an m-clique is the middle of rank·(m−rank)
+    wedges, never m²), then an inner
+    :func:`mhray.rayutil.attach_payload` on the composite key (a, c)
+    against E closes each wedge. Exact — no caps; wedge volume is
+    Σ_b deg⁻(b)·deg⁺(b), the same output-proportional bound the
+    oracle's SQL joins pay. Returns (doc_id, n_tri) for every vertex
+    in ≥1 triangle.
 
     Scale bound, stated plainly: triangle counting is Θ(Σ triangles)
     BY DEFINITION — a clique of size m holds C(m,3). Run it on
@@ -244,34 +230,49 @@ def triangle_counts(edges, num_parts: int = 8,
     the driver witnesses it at sf0.01 — 1.88M triangles, ~8s)."""
     import pyarrow.compute as pc
 
-    from mhray.rayutil import safe_join
+    from mhray.kernels import expand_spans
+    from mhray.rayutil import attach_payload
+    from mhray.stages.candidates import _part_of
 
     e = edges.map_batches(
         lambda b: pa.table({"a": b.column(lo_col).cast(pa.int64()),
                             "b": b.column(hi_col).cast(pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    e_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
-    wedges = safe_join(
-        e,
-        e.map_batches(lambda t: pa.table({"b2": t.column("a"),
-                                          "c": t.column("b")}),
-                      batch_format="pyarrow", zero_copy_batch=True),
-        join_type="inner", num_partitions=num_parts,
-        on=("b",), right_on=("b2",),
-        left_schema=e_schema,
-        right_schema=pa.schema([("b2", pa.int64()), ("c", pa.int64())]))
+    def by_middle(batch: pa.Table) -> pa.Table:
+        # each edge (a, b) is an in-edge of b and an out-edge of a
+        a = np.asarray(batch.column("a"), dtype=np.int64)
+        b = np.asarray(batch.column("b"), dtype=np.int64)
+        mid = np.concatenate([b, a])
+        return pa.table({
+            "part": pa.array(_part_of(mid, num_parts), pa.int32()),
+            "mid": pa.array(mid, pa.int64()),
+            "end": pa.array(np.concatenate([a, b]), pa.int64()),
+            "is_out": pa.array(np.arange(len(mid)) >= len(a)),
+        })
 
-    tri = safe_join(
-        wedges,
-        e.map_batches(lambda t: pa.table({"a2": t.column("a"),
-                                          "c2": t.column("b")}),
-                      batch_format="pyarrow", zero_copy_batch=True),
-        join_type="inner", num_partitions=num_parts,
-        on=("a", "c"), right_on=("a2", "c2"),
-        left_schema=pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                               ("c", pa.int64())]),
-        right_schema=pa.schema([("a2", pa.int64()), ("c2", pa.int64())]))
+    def emit_wedges(part: pa.Table) -> pa.Table:
+        mid = np.asarray(part.column("mid"), dtype=np.int64)
+        end = np.asarray(part.column("end"), dtype=np.int64)
+        is_out = np.asarray(part.column("is_out"), dtype=bool)
+        order = np.argsort(mid[is_out], kind="stable")
+        out_mid, out_end = mid[is_out][order], end[is_out][order]
+        in_mid, in_end = mid[~is_out], end[~is_out]
+        r, j = expand_spans(np.searchsorted(out_mid, in_mid, "left"),
+                            np.searchsorted(out_mid, in_mid, "right"))
+        return pa.table({"a": pa.array(in_end[r], pa.int64()),
+                         "b": pa.array(in_mid[r], pa.int64()),
+                         "c": pa.array(out_end[j], pa.int64())})
+
+    wedges = e.map_batches(by_middle, batch_format="pyarrow",
+                           zero_copy_batch=True) \
+        .groupby("part", num_partitions=num_parts) \
+        .map_groups(emit_wedges, batch_format="pyarrow")
+    tri = attach_payload(
+        wedges, ("a", "c"), e, ("a", "b"), (), "e", num_parts,
+        pairs_schema=pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                                ("c", pa.int64())]),
+        side_schema=pa.schema([("a", pa.int64()), ("b", pa.int64())]))
 
     def explode_nodes(batch: pa.Table) -> pa.Table:
         cols = [np.asarray(batch.column(c), dtype=np.int64)

@@ -510,43 +510,21 @@ def ngram_jaccard_pairs(ds, tau: float, text_col: str = "text",
             "iid": pa.array(ids[doc_sel], pa.int64()),
         })
 
-    from mhray.rayutil import scrub_blocks
-
     cands = toks_ds.map_batches(prefix_explode, batch_format="pyarrow") \
         .groupby("part", num_partitions=num_parts).map_groups(make_emit_pairs(group_cap),
                                     batch_format="pyarrow") \
         .groupby(["lo", "hi"]).count()
-    cands = scrub_blocks(cands, pa.schema([
-        ("lo", pa.int64()), ("hi", pa.int64()), ("count()", pa.int64())]),
-        num_parts)
 
-    # attach token blobs and compute exact Jaccard (safe_join: a
-    # zero-candidate corpus otherwise loses the pair schema and the
-    # acero join rejects the key columns)
-    from mhray.rayutil import safe_join
+    # attach both token blobs (one broadcast copy, or one shuffle per
+    # key) and compute exact Jaccard
+    from mhray.rayutil import attach_payload_both
 
-    side = toks_ds.select_columns([id_col, "tok_blob"])
-    cand_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
-                             ("count()", pa.int64())])
-    j = safe_join(
-        cands,
-        side.rename_columns({id_col: "_ilo", "tok_blob": "blob_lo"}),
-        join_type="inner", num_partitions=num_parts,
-        on=("lo",), right_on=("_ilo",),
-        left_schema=cand_schema,
-        right_schema=pa.schema([("_ilo", pa.int64()),
-                                ("blob_lo", pa.binary())]),
-    )
-    j = safe_join(
-        j,
-        side.rename_columns({id_col: "_ihi", "tok_blob": "blob_hi"}),
-        join_type="inner", num_partitions=num_parts,
-        on=("hi",), right_on=("_ihi",),
-        left_schema=pa.schema(list(cand_schema)
-                              + [pa.field("blob_lo", pa.binary())]),
-        right_schema=pa.schema([("_ihi", pa.int64()),
-                                ("blob_hi", pa.binary())]),
-    )
+    j = attach_payload_both(
+        cands, toks_ds, id_col, ("tok_blob",), num_parts,
+        pairs_schema=pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
+                                ("count()", pa.int64())]),
+        side_schema=pa.schema([(id_col, pa.int64()),
+                               ("tok_blob", pa.binary())]))
 
     def jaccard_gate(batch: pa.Table) -> pa.Table:
         """All pairs of the block at once: tag every token with its
@@ -554,8 +532,8 @@ def ngram_jaccard_pairs(ds, tau: float, text_col: str = "text",
         duplicates = per-pair intersection size (each side is a unique
         set, so a common token appears exactly twice)."""
         n = batch.num_rows
-        a_flat, a_off = _blob_concat(batch.column("blob_lo"))
-        b_flat, b_off = _blob_concat(batch.column("blob_hi"))
+        a_flat, a_off = _blob_concat(batch.column("tok_blob_lo"))
+        b_flat, b_off = _blob_concat(batch.column("tok_blob_hi"))
         na, nb = np.diff(a_off), np.diff(b_off)
         pid = np.concatenate([np.repeat(np.arange(n), na),
                               np.repeat(np.arange(n), nb)])

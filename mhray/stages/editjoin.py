@@ -220,8 +220,7 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
     cands = scrub_blocks(cands, cand_schema, num_parts)
 
     # threshold-guarded attach (broadcast below the row threshold,
-    # one-sort-shuffle above) — the repo's standard payload join; two
-    # safe_joins here cost four materialize barriers for the same work
+    # one-sort-shuffle above) — the repo's standard keyed lookup
     side = docs.map_batches(
         lambda b: pa.table({"_sid": b.column(id_col),
                             "t": b.column(text_col)}),

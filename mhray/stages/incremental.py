@@ -29,8 +29,10 @@ import ray.data
 
 from mhray.config import MhapConfig
 from mhray.stages.candidates import (_cross_pairs, aggregate_pair_partials,
-                                     auto_parts, explode_minhash_packed,
-                                     make_count_gate, unpack_entries)
+                                     auto_parts, cross_members,
+                                     explode_minhash_packed, make_count_gate,
+                                     members_view, pack_members,
+                                     unpack_entries)
 
 _PAIR_SCHEMA = pa.schema([
     ("lo", pa.int64()), ("hi", pa.int64()), ("partial_count", pa.int64()),
@@ -87,18 +89,20 @@ def find_matches(query_ds, index, cfg: MhapConfig,
     identical captions have identical sketches, so only one REP per
     distinct caption enters the LSH exchange on each side — the stored
     index already carries ``rep_iid`` from its s1 run, the query batch
-    gets the same min-iid-per-caption assignment here via one narrow
-    groupby — and every verified rep pair expands to all member cross
-    pairs afterwards (output-proportional joins). Without the collapse
-    a clustered corpus pays clique² × shared-band candidate rows
-    (measured 87M partial pairs for a 100k-query / 2M-index run); the
-    expansion reproduces EXACTLY the pairs the uncollapsed exchange
-    verifies, because verify scores depend only on caption sketches
-    (parity pytest: tests/test_incremental.py). An index Dataset
-    without ``rep_iid`` (any ad-hoc sketch table) skips the index-side
-    collapse and still gets the query-side one."""
+    gets the same min-iid-per-caption assignment here from one shuffle
+    that packs its members per caption — and every verified rep pair
+    expands to all member cross pairs afterwards (output-proportional:
+    each side's members are packed per rep, attached to the rep pairs
+    and crossed). Without the collapse a clustered corpus pays clique²
+    × shared-band candidate rows (measured 87M partial pairs for a
+    100k-query / 2M-index run); the expansion reproduces EXACTLY the
+    pairs the uncollapsed exchange verifies, because verify scores
+    depend only on caption sketches (parity pytest:
+    tests/test_incremental.py). An index Dataset without ``rep_iid``
+    (any ad-hoc sketch table) skips the index-side collapse and still
+    gets the query-side one."""
+    from mhray.rayutil import attach_payload, semi_join_ids
     from mhray.stages.sketch import sketch_dataset
-    from mhray.rayutil import attach_payload, safe_join
 
     num_parts = auto_parts(num_parts)
     index_full = load_sketch_index(index).materialize()
@@ -107,30 +111,30 @@ def find_matches(query_ds, index, cfg: MhapConfig,
         .filter(expr="valid == True").materialize()
 
     # --- rep collapse, index side (rep_iid persisted by s1) ---------
-    index_has_reps = "rep_iid" in index_full.schema().names
-    if index_has_reps:
+    if "rep_iid" in index_full.schema().names:
         index_sk = index_full.filter(expr="iid == rep_iid").materialize()
-        index_members = index_full.select_columns(["rep_iid", "iid"])
+        index_members = pack_members(
+            index_full.select_columns(["rep_iid", "iid"]), "rep_iid",
+            ("iid",), num_parts).materialize()
     else:
         index_sk = index_full
         index_members = None
 
-    # --- rep collapse, query side (min iid per caption_hash) --------
-    from ray.data.aggregate import Min
+    # --- rep collapse, query side: members per caption_hash, sorted
+    # by iid, so the rep (min iid per caption) is each group's first
+    def add_qrep(batch: pa.Table) -> pa.Table:
+        (iids,), offs = members_view(batch.column("members"), 1)
+        return pa.table({"qrep": pa.array(iids[offs[:-1]], pa.int64()),
+                         "members": batch.column("members")})
 
-    qreps = query_full.select_columns(["caption_hash", "iid"]) \
-        .groupby("caption_hash").aggregate(Min("iid", alias_name="qrep")) \
-        .map_batches(lambda b: pa.table({
-            "caption_hash": b.column("caption_hash"),
-            "qrep": b.column("qrep").cast(pa.int64())}),
-            batch_format="pyarrow")
-    q_tagged = attach_payload(
-        query_full, "caption_hash", qreps, "caption_hash", ("qrep",),
-        "q", num_parts,
-        side_schema=pa.schema([("caption_hash", pa.int64()),
-                               ("qrep", pa.int64())]))
-    query_sk = q_tagged.filter(expr="iid == qrep_q").materialize()
-    query_members = q_tagged.select_columns(["qrep_q", "iid"])
+    query_members = pack_members(
+        query_full.select_columns(["caption_hash", "iid"]), "caption_hash",
+        ("iid",), num_parts).map_batches(
+        add_qrep, batch_format="pyarrow", zero_copy_batch=True).materialize()
+    members_schema = pa.schema([("qrep", pa.int64()),
+                                ("members", pa.binary())])
+    query_sk = semi_join_ids(query_full, query_members, "iid", "qrep",
+                             num_parts).materialize()
 
     def tag(role: int):
         def add_role(batch: pa.Table) -> pa.Table:
@@ -193,48 +197,40 @@ def find_matches(query_ds, index, cfg: MhapConfig,
 
     # --- expand verified REP pairs to member cross pairs ------------
     # Identical captions share sketches, so every member pair inherits
-    # the rep pair's verify metrics verbatim. Two inner joins, both
-    # output-proportional in the TRUE (uncollapsed) result size.
+    # the rep pair's verify metrics verbatim.
     metric_fields = [("shared_slots", pa.int64()),
                      ("score", pa.float64()), ("raw_score", pa.float64()),
                      ("a1", pa.int32()), ("a2", pa.int32()),
                      ("b1", pa.int32()), ("b2", pa.int32())]
     verified_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
                                  *metric_fields])
-
-    out = safe_join(
-        verified,
-        query_members.map_batches(
-            lambda t: pa.table({"_qm_rep": t.column("qrep_q"),
-                                "_qm_iid": t.column("iid")}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        join_type="inner", num_partitions=max(2, min(8, num_parts)),
-        on=("lo",), right_on=("_qm_rep",),
-        left_schema=verified_schema,
-        right_schema=pa.schema([("_qm_rep", pa.int64()),
-                                ("_qm_iid", pa.int64())]))
+    out = attach_payload(verified, "lo", query_members, "qrep",
+                         ("members",), "q", num_parts,
+                         pairs_schema=verified_schema,
+                         side_schema=members_schema)
     if index_members is not None:
-        out = safe_join(
-            out,
-            index_members.map_batches(
-                lambda t: pa.table({"_im_rep": t.column("rep_iid"),
-                                    "_im_iid": t.column("iid")}),
-                batch_format="pyarrow", zero_copy_batch=True),
-            join_type="inner", num_partitions=max(2, min(8, num_parts)),
-            on=("hi",), right_on=("_im_rep",),
-            left_schema=pa.schema(list(verified_schema)
-                                  + [pa.field("_qm_iid", pa.int64())]),
-            right_schema=pa.schema([("_im_rep", pa.int64()),
-                                    ("_im_iid", pa.int64())]))
+        out = attach_payload(
+            out, "hi", index_members, "rep_iid", ("members",), "i",
+            num_parts,
+            pairs_schema=pa.schema(list(verified_schema) + [
+                pa.field("members_q", pa.binary())]),
+            side_schema=pa.schema([("rep_iid", pa.int64()),
+                                   ("members", pa.binary())]))
 
-    def project_members(batch: pa.Table) -> pa.Table:
-        cols = {"lo": batch.column("_qm_iid"),
-                "hi": (batch.column("_im_iid")
-                       if "_im_iid" in batch.column_names
-                       else batch.column("hi"))}
-        for name, typ in metric_fields:
-            cols[name] = batch.column(name)
+    def expand_members(batch: pa.Table) -> pa.Table:
+        (q_iids,), q_offs = members_view(batch.column("members_q"), 1)
+        if "members_i" in batch.column_names:
+            (i_iids,), i_offs = members_view(batch.column("members_i"), 1)
+        else:  # no index collapse: each hi is its own only member
+            i_iids = np.asarray(batch.column("hi"), dtype=np.int64)
+            i_offs = np.arange(batch.num_rows + 1)
+        row, a, b = cross_members(q_offs, i_offs)
+        take = pa.array(row, pa.int64())
+        cols = {"lo": pa.array(q_iids[a], pa.int64()),
+                "hi": pa.array(i_iids[b], pa.int64())}
+        for name, _ in metric_fields:
+            cols[name] = batch.column(name).take(take)
         return pa.table(cols)
 
-    return out.map_batches(project_members, batch_format="pyarrow",
+    return out.map_batches(expand_members, batch_format="pyarrow",
                            zero_copy_batch=True)

@@ -1,11 +1,13 @@
-"""Stage 5-6: sketch-attach joins + positional verify.
+"""Stage 5-6: sketch attach + positional verify.
 
-J2 (impl/MinHashSearch.java:206-208 ``sequenceVectorsHash.get``) becomes
-two hash joins attaching each side's bottom sketch to the candidate
-pair; the §2.9 verify kernel then runs as a stateless ``map_batches``
-(pure numpy per pair, no shared state — SURVEY.md §7.2). Sketches are
-~KB-sized rows, so this is a shuffle join, not a broadcast
-(SURVEY.md J2).
+J2 (impl/MinHashSearch.java:206-208 ``sequenceVectorsHash.get``) is a
+hash lookup, so it becomes two keyed attaches
+(:func:`mhray.rayutil.attach_payload`) putting each side's bottom
+sketch on the candidate pair: the sketch table is broadcast while it
+fits the row/byte threshold (sketches are ~KB rows, so the byte cap
+binds first) and shuffled once per key above it. The §2.9 verify
+kernel then runs as a stateless ``map_batches`` (pure numpy per pair,
+no shared state — SURVEY.md §7.2).
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from mhray.kernels import unpack_bottom_sketch
 
 def attach_sketches(pairs_ds, sketches_ds, num_partitions: int = 32,
                     columns=("bs_blob",)):
-    """pairs(lo, hi, ...) ⋈ sketches on lo then hi — expressed as two
-    sort-shuffle payload attaches (rayutil.attach_payload) rather than
-    join operators, whose per-join aggregator actor pools dominate at
-    moderate pair counts."""
+    """pairs(lo, hi, ...) ⋈ sketches on lo then hi — two keyed
+    attaches (rayutil.attach_payload) rather than join operators,
+    whose per-join aggregator actor pools dominate at moderate pair
+    counts."""
     from mhray.rayutil import attach_payload
 
     # materialize the narrow projection once: it is consumed by BOTH
@@ -116,8 +118,8 @@ class VerifyPairs:
 
 def verify_candidates(pairs_ds, sketches_ds, cfg: MhapConfig,
                       num_partitions: int = 32):
-    # candidate-pair tables are small relative to the corpus; fewer join
-    # partitions = fewer aggregator actors to spin up
+    # candidate-pair tables are small relative to the corpus; fewer
+    # shuffle partitions = fewer reduce tasks on the attach scale path
     num_partitions = max(2, min(8, num_partitions))
     # the count-gate groupby emits few blocks; the verify map runs one
     # task per block, so re-split the (narrow) pair table FIRST —

@@ -1,8 +1,9 @@
 """Degenerate-corpus robustness: operators must return empty/small
-results — not crash in the join layer — when there are zero duplicate
-candidates, empty texts, or a handful of rows. (Ray's join operator
-cannot execute with a zero-row side; rayutil.safe_join short-circuits
-that case.)"""
+results — not crash in the keyed-attach layer — when there are zero
+duplicate candidates, empty texts, or a handful of rows. Ray's
+groupby emits schema-less empty blocks and map_batches passes
+zero-row blocks through without calling its UDF, so every lookup must
+accept empty inputs on both of its paths (broadcast and shuffle)."""
 
 import pyarrow as pa
 import pytest
@@ -34,24 +35,50 @@ def test_substring_zero_candidates(ray_session):
     assert len(out) == 0
 
 
-def test_safe_join_empty_sides(ray_session):
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("threshold", [None, 0], ids=["default", "shuffle"])
+def test_attach_payload_empty_sides(ray_session, how, threshold):
+    """An empty pairs side and an empty payload side, on the broadcast
+    path (default threshold) and the shuffle path (threshold 0): the
+    result has the right rows, and every block that carries a schema
+    carries the typed output schema. A zero-row pairs side can come
+    back schema-less (map_batches never calls its UDF on it), so
+    downstream consumers must — and here do — still run on it."""
+    import ray
     import ray.data
 
-    from mhray.rayutil import safe_join
+    from mhray.rayutil import attach_payload
 
-    schema_l = pa.schema([("lo", pa.int64()), ("hi", pa.int64())])
-    schema_r = pa.schema([("_k", pa.int64()), ("v", pa.int64())])
-    empty = ray.data.from_arrow(schema_l.empty_table())
-    full = ray.data.from_arrow(pa.table({
+    pairs_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64())])
+    side_schema = pa.schema([("_k", pa.int64()), ("v", pa.string())])
+    out_schema = pa.schema(list(pairs_schema) + [("v_x", pa.string())])
+    pairs = ray.data.from_arrow(pa.table({
+        "lo": pa.array([1, 2, 3], pa.int64()),
+        "hi": pa.array([4, 5, 6], pa.int64())}))
+    side = ray.data.from_arrow(pa.table({
         "_k": pa.array([1, 2], pa.int64()),
-        "v": pa.array([10, 20], pa.int64())}))
-    out = safe_join(empty, full, join_type="inner", num_partitions=2,
-                    on=("lo",), right_on=("_k",),
-                    left_schema=schema_l, right_schema=schema_r)
-    assert out.count() == 0
-    s = out.schema()
-    base = getattr(s, "base_schema", s)
-    assert {"lo", "hi", "v"} <= set(base.names)
+        "v": pa.array(["a", "b"])}))
+    kw = {} if threshold is None else {"broadcast_threshold_rows": threshold}
+    for name, p, s, n_expected in [
+            ("empty pairs", ray.data.from_arrow(pairs_schema.empty_table()),
+             side, 0),
+            ("empty side", pairs,
+             ray.data.from_arrow(side_schema.empty_table()),
+             0 if how == "inner" else 3)]:
+        out = attach_payload(p, "lo", s, "_k", ("v",), "x", 2, how=how,
+                             pairs_schema=pairs_schema,
+                             side_schema=side_schema, **kw).materialize()
+        tables = [ray.get(r) for r in out.to_arrow_refs()]
+        assert sum(t.num_rows for t in tables) == n_expected, name
+        for t in tables:
+            assert t.num_columns == 0 or t.schema.equals(out_schema), (
+                name, t.schema)
+        if n_expected:
+            assert any(t.schema.equals(out_schema) for t in tables), name
+            got = pa.concat_tables([t for t in tables if t.num_rows])
+            assert got.column("v_x").null_count == n_expected, name
+        # downstream consumers run on whatever blocks came back
+        assert out.groupby("lo").count().count() == n_expected, name
 
 
 def test_minhash_pairs_unique_corpus(ray_session):

@@ -200,3 +200,48 @@ def test_json_extract_fast_matches_strict_on_flat_objects(obj, key):
     fast = json_extract_int(batch, "props", key).to_pylist()
     strict = json_extract_int(batch, "props", key, strict=True).to_pylist()
     assert fast == strict == [obj.get(key)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2**62, 2**62)),
+                min_size=0, max_size=40),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(-2**62, 2**62)),
+                min_size=0, max_size=40),
+       st.lists(st.integers(-2**62, 2**62), min_size=4, max_size=4,
+                unique=True))
+def test_attach_payload_pair_key_matches_merge(ray_session, side_keys,
+                                               pair_keys, firsts):
+    """A two-column key attaches exactly what a pandas merge on both
+    columns does — inner and left, broadcast and shuffle path — with
+    first columns up to 2^62 that many keys share (so neither a packed
+    nor a hashed single key would be exact)."""
+    import pandas as pd
+    import ray.data
+
+    from mhray.rayutil import attach_payload
+
+    side = {(firsts[i], v) for i, v in side_keys}          # unique keys
+    side_tbl = pa.table({
+        "s0": pa.array([k[0] for k in side], pa.int64()),
+        "s1": pa.array([k[1] for k in side], pa.int64()),
+        "val": pa.array(np.arange(len(side)), pa.int64())})
+    # half the pair keys are side keys, so both hit and miss paths run
+    keys = [(firsts[i], v) for i, v in pair_keys] + sorted(side)[::2]
+    pairs_tbl = pa.table({
+        "a": pa.array([k[0] for k in keys], pa.int64()),
+        "b": pa.array([k[1] for k in keys], pa.int64()),
+        "row": pa.array(np.arange(len(keys)), pa.int64())})
+    pairs_df, side_df = pairs_tbl.to_pandas(), side_tbl.to_pandas()
+    for how in ("inner", "left"):
+        want = pairs_df.merge(side_df, how=how, left_on=["a", "b"],
+                              right_on=["s0", "s1"])
+        want = sorted(zip(want["row"], want["val"].astype("Int64")))
+        for kw in ({}, {"broadcast_threshold_rows": 0}):
+            got = attach_payload(
+                ray.data.from_arrow(pairs_tbl), ("a", "b"),
+                ray.data.from_arrow(side_tbl), ("s0", "s1"), ("val",),
+                "s", 3, how=how, pairs_schema=pairs_tbl.schema,
+                side_schema=side_tbl.schema, **kw).take_all()
+            got = sorted((r["row"], pd.NA if r["val_s"] is None
+                          else r["val_s"]) for r in got)
+            assert got == want, (how, kw)
