@@ -18,7 +18,7 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship: the MHAP-style two-stage near-dup pipeline + union-find
-    clustering over the sf0.001 documents table — sketch actor pool ->
+    clustering over the sf0.001 documents table — sketch tasks ->
     signature LSH shuffle -> positional verify -> cluster assignment."""
     import pyarrow as pa
 
@@ -29,15 +29,10 @@ def entry() -> Any:
     from mhray.stages.cluster import cluster_edges
     from mhray.stages.dedup import minhash_text_pairs
 
-    from mhray.checkpoint import parquet_num_rows
-
     sf_dir = "/root/testdata/sf0.001"
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
     cfg = PRESETS["captions"].with_(threshold=0.9)
-    pairs = minhash_text_pairs(
-        docs, cfg,
-        n_rows_hint=parquet_num_rows(f"{sf_dir}/documents.parquet"),
-    ).materialize()
+    pairs = minhash_text_pairs(docs, cfg).materialize()
     pair_clusters = cluster_edges(pairs.select_columns(["lo", "hi"]))
     assigned = attach_payload(
         docs.select_columns(["doc_id"]), "doc_id", pair_clusters, "iid",

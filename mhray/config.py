@@ -65,8 +65,8 @@ class MhapConfig:
     band_group_cap: int = 2000          # max ids in one (slot,value) LSH group;
                                         # larger groups are capped with logged drops
     sketch_batch_size: int = 256        # rows per map_batches call in the sketcher
-                                        # (small enough that the actor pool has
-                                        # one batch per worker in flight)
+                                        # (small enough that every worker has
+                                        # a batch in flight)
     verify_batch_size: int = 1024
     cluster_max_rounds: int = 50        # union-find fixpoint bound (O(log n) typical)
 

@@ -2,7 +2,7 @@
 
 Reimplements sketch/FrequencyCounts.java as a small immutable numpy
 lookup table — sorted hash keys + frequency ratios — suitable for
-``ray.put`` once and zero-copy reads from every sketch actor
+``ray.put`` once and one zero-copy read per sketch worker process
 (vs. the reference's single-JVM shared map, FrequencyCounts.java:48-61).
 
 Weighting semantics (FrequencyCounts.java:230-319):

@@ -6,13 +6,13 @@ engine carries two self-contained deterministic codecs:
 - ``ppm``: binary P6 (8-bit RGB), trivially seekable
 - ``png``: a minimal, spec-conformant PNG subset (8-bit RGB, filter
   types 0-2, zlib), enough to exercise a real decode path with
-  compression in the sketch actors
+  compression in the sketch tasks
 - ``bmp``: BI_RGB 24/32-bit DIB (bottom-up BGR, 4-byte stride) —
   shares its row math with the uncompressed-AVI video frame path
 
 Other formats (jpeg/webp/...) are STUBS by design: ``decode_image``
 raises ``UnsupportedFormatError`` with the Ray-side plumbing (schema,
-actor signature, batch sizing) kept real — swap in a real codec on a
+UDF signature, batch sizing) kept real — swap in a real codec on a
 cluster with the libs installed.
 
 pHash: 32x32 grayscale -> 2D DCT-II -> top-left 8x8 coefficients

@@ -3,7 +3,7 @@ image+caption table (the MhapMain computeMain lifecycle,
 main/MhapMain.java:377-552, re-expressed as streaming Ray Data stages;
 SURVEY.md §3.4).
 
-    images ─ s1: sketch actors (T1+T2+F4 fused) -> ONE caption_hash
+    images ─ s1: sketch tasks (T1+T2+F4 fused) -> ONE caption_hash
        │        shuffle assigning exact-caption representatives
        │        (rep = min iid per identical caption — collapses hot
        │        boilerplate BEFORE any LSH explode)        [ckpt s1]
@@ -55,7 +55,6 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
               freq_ref=None, decode_pixels: bool = True,
               num_parts: int = 32, resume: bool = True,
               persist: bool = True,
-              concurrency=None,
               rep_broadcast_threshold: int = 2_000_000) -> dict:
     """Run the full pipeline; returns dataset handles + output paths."""
 
@@ -65,24 +64,12 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
     # Above the threshold: one caption_hash-partitioned shuffle of the
     # sketch table (the scale path; rep map no longer driver-resident).
     def compute_sketches():
-        import ray as _ray
-
         from mhray.checkpoint import parquet_num_rows
 
         n_rows = parquet_num_rows(images_path)
-        conc = concurrency
-        if conc is None:
-            # fixed pool sized to the INPUT, capped below the CPU
-            # count: a 30-actor pool on a 50k-row corpus spends longer
-            # spinning actors than sketching (measured: 16 actors beat
-            # 30 by 20% at 50k rows; 30 wins at 500k)
-            cpus = int(_ray.cluster_resources().get("CPU", 4))
-            hi = max(1, min(cpus - 2, n_rows // 3000))
-            conc = (hi, hi)
         images = ray.data.read_parquet(images_path)
         sk = sketch_dataset(images, cfg, freq_ref=freq_ref,
-                            decode_pixels=decode_pixels,
-                            concurrency=conc)
+                            decode_pixels=decode_pixels)
         if n_rows <= rep_broadcast_threshold:
             # rep map via per-batch PARTIAL min-aggregates collected to
             # the driver (tiny) — a full Ray groupby has seconds of
@@ -111,10 +98,10 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
             first = np.ones(len(ch_s), dtype=bool)
             if len(ch_s) > 1:
                 first[1:] = np.diff(ch_s) != 0
-            ref = _ray.put((ch_s[first], iid_s[first]))
+            ref = ray.put((ch_s[first], iid_s[first]))
 
             def lookup(batch: pa.Table) -> pa.Table:
-                k, v = _ray.get(ref)
+                k, v = ray.get(ref)
                 ch = np.asarray(batch.column("caption_hash"), dtype=np.int64)
                 pos = np.minimum(np.searchsorted(k, ch), max(0, len(k) - 1))
                 rep = np.where(k[pos] == ch, v[pos],

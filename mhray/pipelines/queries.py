@@ -263,11 +263,9 @@ def d_minhash_pairs(sf_dir: str):
     from mhray.stages.dedup import minhash_text_pairs
 
     cfg = PRESETS["captions"].with_(threshold=0.9)
-    from mhray.checkpoint import parquet_num_rows
-
     out = minhash_text_pairs(
         _read(sf_dir, "documents", ["doc_id", "text"], rows_per_block=800),
-        cfg, n_rows_hint=parquet_num_rows(f"{sf_dir}/documents.parquet"))
+        cfg)
     return out.select_columns(["lo", "hi", "shared_slots"])
 
 
@@ -1592,7 +1590,7 @@ def _synth_ppm_batch(batch: pa.Table) -> pa.Table:
 def m_image_features(sf_dir: str):
     """REAL image decode end-to-end with a hash oracle: each doc_id
     deterministically synthesizes an 8x8 PPM (:func:`_synth_ppm_batch`),
-    the actor-pool :class:`mhray.stages.multimodal.ImageFeatureStage`
+    the task UDF :class:`mhray.stages.multimodal.ImageFeatureStage`
     decodes it with the repo codec and computes the luma mean, and the
     DuckDB oracle recomputes the same closed form over generate_series
     — so the encode -> decode -> vectorized-feature path is externally
@@ -1646,9 +1644,8 @@ def m_audio_features(sf_dir: str):
 
     ds = docs.map_batches(synth, batch_format="pyarrow",
                           zero_copy_batch=True)
-    feats = ds.map_batches(AudioFeatureStage, fn_constructor_kwargs={},
-                           batch_size=64, batch_format="pyarrow",
-                           zero_copy_batch=True, concurrency=(1, 4))
+    feats = ds.map_batches(AudioFeatureStage(), batch_size=64,
+                           batch_format="pyarrow", zero_copy_batch=True)
 
     def project(b: pa.Table) -> pa.Table:
         emb = b.column("audio_embedding")
@@ -1672,7 +1669,7 @@ def m_audio_features(sf_dir: str):
 def m_image_resize(sf_dir: str):
     """REAL resize path end-to-end with a hash oracle: the same
     synthesized 8x8 PPMs as :func:`m_image_features` run through the
-    actor-pool :class:`mhray.stages.multimodal.ImageResizeStage`
+    task UDF :class:`mhray.stages.multimodal.ImageResizeStage`
     (decode -> nearest-resample to 4x4 -> re-encode) and THEN through
     the feature stage, so decode->resample->encode->decode->luma is
     one externally witnessed chain; nearest-neighbor indices are
@@ -1684,11 +1681,9 @@ def m_image_resize(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id"])
     ds = docs.map_batches(_synth_ppm_batch, batch_format="pyarrow",
                           zero_copy_batch=True)
-    small = ds.map_batches(ImageResizeStage,
-                           fn_constructor_kwargs={"side": 4,
-                                                  "out_fmt": "ppm"},
+    small = ds.map_batches(ImageResizeStage(side=4, out_fmt="ppm"),
                            batch_size=64, batch_format="pyarrow",
-                           zero_copy_batch=True, concurrency=(1, 4))
+                           zero_copy_batch=True)
     return image_features(small).select_columns(
         ["image_id", "mean_luma", "decode_ok"])
 
@@ -1696,7 +1691,7 @@ def m_image_resize(sf_dir: str):
 def m_video_frames(sf_dir: str):
     """REAL uncompressed-AVI decode end-to-end with a hash oracle:
     each doc_id synthesizes a two-frame 16x16 BI_RGB AVI, the
-    actor-pool :class:`mhray.stages.multimodal.VideoFrameSampleStage`
+    task UDF :class:`mhray.stages.multimodal.VideoFrameSampleStage`
     parses the RIFF container, picks evenly spaced frames and decodes
     each DIB; frame indices and decoded dimensions are closed-form, so
     the oracle is exact (pHash is projected out — no SQL form)."""
@@ -1718,9 +1713,8 @@ def m_video_frames(sf_dir: str):
 
     ds = docs.map_batches(synth, batch_format="pyarrow",
                           zero_copy_batch=True)
-    frames = ds.map_batches(VideoFrameSampleStage, fn_constructor_kwargs={},
-                            batch_size=32, batch_format="pyarrow",
-                            zero_copy_batch=True, concurrency=(1, 4))
+    frames = ds.map_batches(VideoFrameSampleStage(), batch_size=32,
+                            batch_format="pyarrow", zero_copy_batch=True)
 
     def project(b: pa.Table) -> pa.Table:
         return pa.table({

@@ -358,8 +358,7 @@ def tiered_dedup(ds, cfg: MhapConfig | None = None, text_col: str = "text",
 
     # tier 3: minhash LSH + positional verify -----------------------------
     mh_pairs = minhash_text_pairs(remaining, cfg, text_col=text_col,
-                                  id_col=id_col, num_parts=num_parts,
-                                  n_rows_hint=n_in)
+                                  id_col=id_col, num_parts=num_parts)
     _run_tier("minhash", _removed_from_pairs(mh_pairs, id_col))
 
     removed = removed_parts[0]
@@ -851,44 +850,16 @@ def docs_as_images(ds, text_col: str = "text", id_col: str = "doc_id"):
 
 
 def minhash_text_pairs(ds, cfg: MhapConfig, text_col: str = "text",
-                       id_col: str = "doc_id", num_parts: int | None = None,
-                       n_rows_hint: int | None = None):
+                       id_col: str = "doc_id", num_parts: int | None = None):
     """(lo, hi, shared_slots, score, ...) via signature LSH + verify —
-    the MHAP flagship machinery on any (id, text) table.
-
-    ``n_rows_hint`` sizes the sketch actor pool to the input (one
-    actor per ~600 rows — full documents sketch at ~1.7 ms/row, far
-    heavier than short captions — capped below the CPU count); for
-    small tables, pool spin-up otherwise dominates the stage."""
+    the MHAP flagship machinery on any (id, text) table."""
     from mhray.stages.candidates import minhash_candidates
     from mhray.stages.sketch import sketch_dataset
     from mhray.stages.verify import verify_candidates
 
     num_parts = auto_parts(num_parts)
-
-    concurrency = None
-    if n_rows_hint is not None:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        hi = max(1, min(cpus - 2, n_rows_hint // 600))
-        concurrency = (hi, hi)
-        # a small table often arrives in fewer blocks than the pool
-        # has actors; spread it so every actor gets work. num_blocks()
-        # is only known for materialized inputs (lazy Datasets raise) —
-        # when unknown, repartition iff the ROW hint is small: at that
-        # size the extra shuffle is trivial and the pool-feeding win is
-        # real, while a large corpus already has plenty of read blocks
-        # and an unconditional repartition would re-shuffle the full
-        # text for nothing
-        try:
-            blocks = ds.num_blocks()
-        except Exception:
-            blocks = None
-        if (blocks is not None and blocks < hi) or \
-                (blocks is None and n_rows_hint <= 100_000):
-            ds = ds.repartition(max(hi, num_parts))
     as_images = docs_as_images(ds, text_col, id_col)
-    sketches = sketch_dataset(as_images, cfg, decode_pixels=False,
-                              concurrency=concurrency)
+    sketches = sketch_dataset(as_images, cfg, decode_pixels=False)
     valid = sketches.filter(expr="valid == True").materialize()
     cands = minhash_candidates(valid, cfg, num_parts)
     return verify_candidates(cands, valid, cfg, num_parts)

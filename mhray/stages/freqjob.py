@@ -5,7 +5,7 @@ The reference consumes a precomputed k-mer frequency TSV (-f,
 sketch/FrequencyCounts.java:63-229); generating one from the corpus is
 exactly a flat_map(shingles) -> groupby(hash).count() -> filter(freq >=
 cutoff) pass whose (small) result is put in the object store and read
-once per sketch actor.
+once per sketch worker process.
 
 At 10^12-document scale the exact groupby becomes the job's biggest
 shuffle; CountMin (sketch/CountMin.java:42-112) is the approximate
@@ -64,8 +64,8 @@ def shingle_freq_table(ds, cfg: MhapConfig, text_col: str = "caption",
 
 def freq_table_ref(ds, cfg: MhapConfig, text_col: str = "caption",
                    min_count: int = 2):
-    """Materialize the frequency table and ``ray.put`` it for sketch
-    actors (the kmerFilter load pattern, main/MhapMain.java:339-373)."""
+    """Materialize the frequency table and ``ray.put`` it for the sketch
+    tasks (the kmerFilter load pattern, main/MhapMain.java:339-373)."""
     freq_ds = shingle_freq_table(ds, cfg, text_col, min_count)
     refs = freq_ds.to_arrow_refs()
     table = pa.concat_tables([ray.get(r) for r in refs])

@@ -1,5 +1,6 @@
 """Multimodal payload stages: image / audio / video columns handled as
-opaque binary + typed metadata, processed by actor-pool map_batches.
+opaque binary + typed metadata, processed by stateless task map_batches
+(each stage class is a per-batch callable; its instance is the UDF).
 
 REAL decode paths (no external libs): images ppm/png
 (mhray.imageops), audio PCM WAV (stdlib ``wave`` + numpy FFT
@@ -11,8 +12,8 @@ Ray-side plumbing is identical, so a production codec drops into the
 same seam.
 
 Batch sizing note: media rows are wide (binary payloads), so these
-stages default to SMALL batch sizes — batch_size * concurrency * row
-bytes must fit the worker heap.
+stages default to SMALL batch sizes — batch_size * row bytes, times the
+tasks running at once (one per free CPU), must fit the worker heap.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ DECODE_ERRORS = (UnsupportedFormatError, ValueError, TypeError,
 
 
 class ImageFeatureStage:
-    """Actor-pool stage: decode -> (phash, mean_luma, w, h, decode_ok).
+    """Task stage: decode -> (phash, mean_luma, w, h, decode_ok).
 
     Real decode for ppm/png; other formats keep the metadata columns
     and set decode_ok=false (stub path)."""
@@ -70,7 +71,7 @@ class ImageFeatureStage:
 
 
 class ImageResizeStage:
-    """Actor-pool stage: decode -> nearest-resample to (side, side) ->
+    """Task stage: decode -> nearest-resample to (side, side) ->
     re-encode. Stub formats pass through unchanged with resized=false."""
 
     def __init__(self, side: int = 16, out_fmt: str = "ppm"):
@@ -155,7 +156,7 @@ def audio_features(x: np.ndarray, sr: int, n_bands: int = 8) -> np.ndarray:
 
 
 class AudioFeatureStage:
-    """Actor-pool stage: REAL decode + features for PCM WAV (stdlib
+    """Task stage: REAL decode + features for PCM WAV (stdlib
     ``wave`` + numpy FFT: duration/rms/zcr/centroid/band energies);
     other formats remain a declared STUB (deterministic payload-hash
     fake, flagged ``stub=true``; ``strict=True`` raises instead)."""
@@ -350,7 +351,7 @@ def encode_avi_rgb(frames: list[np.ndarray], fps: int = 10) -> bytes:
 
 
 class VideoFrameSampleStage:
-    """Actor-pool stage: REAL frame sampling for the 'ppmv' container
+    """Task stage: REAL frame sampling for the 'ppmv' container
     (concatenated P6 frames) and for uncompressed RIFF/AVI ('avi',
     BI_RGB 24/32-bit) — parse, pick ``n_frames`` evenly spaced, decode
     each, emit (video_id, frame_index, phash, w, h); any other format
@@ -429,19 +430,12 @@ class VideoFrameSampleStage:
         })
 
 
-def image_features(images_ds, concurrency=None, batch_size: int = 64):
-    """Dataset wiring for ImageFeatureStage (actor pool, small batches
+def image_features(images_ds, batch_size: int = 64):
+    """Dataset wiring for ImageFeatureStage (tasks, small batches
     because rows carry encoded pixels)."""
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = (1, max(2, cpus - 2))
     return images_ds.map_batches(
-        ImageFeatureStage, fn_constructor_kwargs={},
-        batch_size=batch_size, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency,
-    )
+        ImageFeatureStage(), batch_size=batch_size, batch_format="pyarrow",
+        zero_copy_batch=True)
 
 
 def image_quality_metrics(img: np.ndarray) -> dict[str, float]:
@@ -470,7 +464,7 @@ def image_quality_metrics(img: np.ndarray) -> dict[str, float]:
 
 
 class ImageQualityStage:
-    """Actor-pool stage: decode -> no-reference quality metrics
+    """Task stage: decode -> no-reference quality metrics
     (brightness, contrast, sharpness, colorfulness) per image — the
     image-side analog of the text quality_score operator, feeding the
     same NTILE / threshold curation steps. Undecodable rows emit
@@ -500,19 +494,12 @@ class ImageQualityStage:
         })
 
 
-def image_quality(images_ds, concurrency=None, batch_size: int = 64):
-    """Dataset wiring for ImageQualityStage (actor pool, small batches
+def image_quality(images_ds, batch_size: int = 64):
+    """Dataset wiring for ImageQualityStage (tasks, small batches
     because rows carry encoded pixels)."""
-    if concurrency is None:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = (1, max(2, cpus - 2))
     return images_ds.map_batches(
-        ImageQualityStage, fn_constructor_kwargs={},
-        batch_size=batch_size, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency,
-    )
+        ImageQualityStage(), batch_size=batch_size, batch_format="pyarrow",
+        zero_copy_batch=True)
 
 
 def phash_knn(images_ds, query_ids: list[str], k: int = 5,

@@ -1,12 +1,13 @@
-"""Stage 1: the sketch actor — T1 (weighted MinHash) + T2 (bottom-k
+"""Stage 1: the sketcher — T1 (weighted MinHash) + T2 (bottom-k
 positional sketch) + F4 (SimHash) fused into one pass per batch,
 mirroring SequenceSketch construction (impl/SequenceSketch.java:106-116,
 impl/SequenceSketchStreamer.java:262-266).
 
-Runs as an actor pool via ``map_batches(SketchStage, concurrency=...)``:
-the FrequencyCounts side table is fetched from the object store ONCE per
-actor in ``__init__`` (the kmerFilter load pattern,
-main/MhapMain.java:339-373), batches stream through ``__call__``.
+Runs as stateless ``map_batches`` tasks on the session's warm workers
+(no actor pool to start per run). The FrequencyCounts side table travels
+as one ObjectRef; each worker process fetches it and builds its
+:class:`FreqTable` once per ref and reuses it for every later batch
+(the kmerFilter load-once pattern, main/MhapMain.java:339-373).
 
 Output schema (the stage-1 checkpoint, FIXTURES.md §4; sketch payloads
 are length-framed binary — the SequenceSketch serialization analog,
@@ -63,31 +64,52 @@ def _binary_from_matrix_i64(mat: np.ndarray) -> pa.Array:
     )
 
 
+# FreqTables built in this worker process, keyed on the ObjectRef's id
+# (not Python id(): the ref is unpickled anew for every task) and the
+# cfg fields the build reads. A task worker outlives its tasks, so every
+# later batch, and a later run passing the same ref, reuses the table.
+# Bounded: a warm worker must not pin the tables of finished runs.
+_FREQ_CACHE: dict[tuple, FreqTable] = {}
+_FREQ_CACHE_MAX = 4
+
+
+def load_freq(freq_ref, cfg: MhapConfig) -> FreqTable | None:
+    """``freq_ref`` (an ObjectRef of, or an in-process, Arrow
+    ``(shingle_hash, doc_freq)`` table) -> FreqTable under ``cfg``'s
+    idf settings; an ObjectRef is fetched and built at most once per
+    worker process while it stays in ``_FREQ_CACHE``."""
+    if freq_ref is None:
+        return None
+    import ray
+
+    kw = dict(filter_cutoff=cfg.filter_cutoff, offset=cfg.idf_offset,
+              idf_range=cfg.repeat_idf_scale, no_tf=cfg.no_tf,
+              remove_unique=cfg.remove_unique)
+    if not isinstance(freq_ref, ray.ObjectRef):
+        return FreqTable.from_arrow(freq_ref, **kw)
+    key = (freq_ref.binary(), *kw.values())
+    freq = _FREQ_CACHE.get(key)
+    if freq is None:
+        if len(_FREQ_CACHE) >= _FREQ_CACHE_MAX:
+            _FREQ_CACHE.pop(next(iter(_FREQ_CACHE)))
+        # zero-copy Arrow from the object store
+        freq = _FREQ_CACHE[key] = FreqTable.from_arrow(ray.get(freq_ref), **kw)
+    return freq
+
+
 class SketchStage:
-    """Callable class for ``map_batches`` (actor pool when concurrency>1)."""
+    """Stateless per-batch sketch kernel: ``sketch_dataset`` maps an
+    instance as Ray tasks; called directly it sketches one in-process
+    Arrow batch."""
 
     def __init__(self, cfg: MhapConfig, freq_ref=None, decode_pixels: bool = False,
                  with_simhash: bool = False, simhash_kmer: int = 6):
         self.cfg = cfg
+        self.freq_ref = freq_ref
         self.decode_pixels = decode_pixels
         self.with_simhash = with_simhash  # opt-in: ~0.9 ms/row, unused
                                           # by the flagship gates
         self.simhash_kmer = simhash_kmer
-        self.freq: FreqTable | None = None
-        if freq_ref is not None:
-            import ray
-
-            table = freq_ref
-            if isinstance(freq_ref, ray.ObjectRef):
-                table = ray.get(freq_ref)  # zero-copy Arrow from object store
-            self.freq = FreqTable.from_arrow(
-                table,
-                filter_cutoff=cfg.filter_cutoff,
-                offset=cfg.idf_offset,
-                idf_range=cfg.repeat_idf_scale,
-                no_tf=cfg.no_tf,
-                remove_unique=cfg.remove_unique,
-            )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
@@ -100,9 +122,10 @@ class SketchStage:
         # Arrow column goes straight into the shingler (ASCII fast path)
         h64, off64 = K.shingle_hashes64(caption_col, cfg.kmer_size)
         keys, counts, uoff = K.unique_in_first_occurrence_order(h64, off64)
-        weights = tfidf_weights(keys, counts, self.freq, cfg.repeat_weight)
-        if self.freq is not None and cfg.remove_unique == 1:
-            weights = np.where(self.freq.keep_kmer(keys), weights, 0)
+        freq = load_freq(self.freq_ref, cfg)
+        weights = tfidf_weights(keys, counts, freq, cfg.repeat_weight)
+        if freq is not None and cfg.remove_unique == 1:
+            weights = np.where(freq.keep_kmer(keys), weights, 0)
         sig = K.weighted_minhash(keys, weights, uoff, cfg.num_hashes)
 
         # stage-2 positional bottom sketch, serialized to the binary
@@ -122,7 +145,7 @@ class SketchStage:
             & (caption_lens >= cfg.min_olap_length)
         )
 
-        # image axis: decode + recompute pHash (actor-pool CPU work);
+        # image axis: decode + recompute pHash (CPU work in the task);
         # falls back to the input phash column on unsupported formats
         phash = np.asarray(batch.column("phash"), dtype=np.int64).copy()
         if self.decode_pixels:
@@ -159,32 +182,12 @@ class SketchStage:
 
 
 def sketch_dataset(images_ds, cfg: MhapConfig, freq_ref=None,
-                   decode_pixels: bool = False, concurrency=None):
-    """images Dataset -> sketches Dataset (actor pool, zero-copy Arrow)."""
-    if concurrency is None:
-        import ray
-
-        # FIXED pool capped BELOW the cluster CPU count: 2 CPUs stay
-        # free for downstream operators (write, shuffle aggregators) —
-        # a fixed pool equal to the CPU count deadlocks the stream.
-        # Fixed (hi, hi) beats autoscaling (hi//2, hi): measured 40%
-        # faster on a 500k-row corpus — the ramp from the min never
-        # reaches the cap before the stage drains
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        # floor 1, never the full CPU count: on a 2-CPU box max(2, ...)
-        # would equal the cluster size — the deadlock this cap exists
-        # to prevent
-        hi = max(1, cpus - 2)
-        concurrency = (hi, hi)
+                   decode_pixels: bool = False):
+    """images Dataset -> sketches Dataset (stateless tasks, zero-copy
+    Arrow)."""
     return images_ds.map_batches(
-        SketchStage,
-        fn_constructor_kwargs={
-            "cfg": cfg,
-            "freq_ref": freq_ref,
-            "decode_pixels": decode_pixels,
-        },
+        SketchStage(cfg, freq_ref=freq_ref, decode_pixels=decode_pixels),
         batch_size=cfg.sketch_batch_size,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
     )

@@ -110,7 +110,7 @@ def test_image_feature_stage(small_corpus, ray_session):
     from mhray.stages.multimodal import image_features
 
     images = ray.data.read_parquet(small_corpus["images"]).limit(64)
-    out = image_features(images, concurrency=2).take_all()
+    out = image_features(images).take_all()
     assert len(out) == 64
     assert all(r["decode_ok"] for r in out)
     assert any(r["mean_luma"] > 0 for r in out)
@@ -123,8 +123,8 @@ def test_image_resize_stage(small_corpus, ray_session):
     from mhray.stages.multimodal import ImageResizeStage
 
     images = ray.data.read_parquet(small_corpus["images"]).limit(8)
-    out = images.map_batches(ImageResizeStage, fn_constructor_kwargs={"side": 16},
-                             concurrency=2, batch_format="pyarrow").take_all()
+    out = images.map_batches(ImageResizeStage(side=16),
+                             batch_format="pyarrow").take_all()
     assert all(r["resized"] for r in out)
     img = decode_image(out[0]["bytes"], out[0]["fmt"])
     assert img.shape == (16, 16, 3)

@@ -162,8 +162,7 @@ def test_image_quality_stage(ray_session):
                           + [b"\xff\xd8\xff"], pa.binary()),
         "fmt": pa.array(["ppm"] * 4 + ["jpeg"]),
     })
-    out = image_quality(ray.data.from_arrow(tbl),
-                        concurrency=2).to_pandas()
+    out = image_quality(ray.data.from_arrow(tbl)).to_pandas()
     assert len(out) == 5
     ok = out.set_index("image_id")["decode_ok"]
     assert ok[[f"img_{i}" for i in range(4)]].all() and not ok["img_4"]
@@ -214,7 +213,7 @@ def test_image_quality_stage_corrupt_png_row(ray_session):
                           pa.binary()),
         "fmt": pa.array(["png", "png", "png"]),
     })
-    out = image_quality(ray.data.from_arrow(tbl), concurrency=1) \
+    out = image_quality(ray.data.from_arrow(tbl)) \
         .to_pandas().set_index("image_id")
     assert bool(out.loc["ok", "decode_ok"])
     assert not bool(out.loc["trunc", "decode_ok"])
