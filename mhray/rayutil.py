@@ -10,6 +10,9 @@
   key membership, with the same broadcast-or-shuffle choice.
 - Many-to-many joins (triangle wedges, rep -> member expansion) are a
   ``groupby(...).map_groups`` emitter in the stage that needs them.
+- :func:`grouped_mode` and :func:`top_counts` are the two keyed
+  reductions: per-batch partial counts below ONE key-hash shuffle and
+  a partition-local reduce, never a global sort.
 
 None of them uses Ray's join operator, whose hash-shuffle aggregator
 pools dominated at the pair counts these stages see, and which could
@@ -574,3 +577,65 @@ def grouped_mode(ds, key_col: str, val_col: str, num_parts: int,
                           zero_copy_batch=True) \
         .groupby("__part", num_partitions=num_parts) \
         .map_groups(mode, batch_format="pyarrow")
+
+
+def top_counts(ds, key_col: str, k: int, num_parts: int):
+    """The ``k`` most frequent int64 values of ``key_col`` — a corpus
+    frequency table (gram / token document frequency, LM counts) built
+    for a driver-side broadcast. Per-batch partial counts (one
+    ``np.unique``) go through ONE key-hash shuffle; each partition sums
+    its keys and keeps its own top ``k``, so the driver merges at most
+    ``num_parts * k`` rows and no global sort runs. Rank is (count desc,
+    key asc), so ties at the cut are deterministic.
+
+    Returns ``(keys, counts, total)``: key-sorted int64 arrays of at
+    most ``k`` entries and the row count of ``ds``."""
+    import numpy as np
+
+    import ray
+
+    from mhray.stages.candidates import _part_of
+
+    def partial(batch: pa.Table) -> pa.Table:
+        uk, cnt = np.unique(np.asarray(batch.column(key_col),
+                                       dtype=np.int64), return_counts=True)
+        return pa.table({"__part": pa.array(_part_of(uk, num_parts),
+                                            pa.int32()),
+                         "key": pa.array(uk, pa.int64()),
+                         "cnt": pa.array(cnt, pa.int64())})
+
+    def local_top(part: pa.Table) -> pa.Table:
+        keys = np.asarray(part.column("key"), dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        ks = keys[order]
+        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+        sums = np.add.reduceat(
+            np.asarray(part.column("cnt"), dtype=np.int64)[order], starts)
+        uk = ks[starts]
+        sel = np.lexsort((uk, -sums))[:k]
+        # the partition's grand total rides along as one flagged row
+        return pa.table({
+            "key": pa.array(np.r_[uk[sel], 0], pa.int64()),
+            "cnt": pa.array(np.r_[sums[sel], sums.sum()], pa.int64()),
+            "is_total": pa.array(np.r_[np.zeros(len(sel), bool), True]),
+        })
+
+    # materialized first: to_arrow_refs() on a lazy dataset probes its
+    # schema with an extra limit=1 execution
+    parts = ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True) \
+        .groupby("__part", num_partitions=num_parts) \
+        .map_groups(local_top, batch_format="pyarrow").materialize()
+    tables = [t for t in ray.get(parts.to_arrow_refs())
+              if "key" in t.schema.names]
+    if not tables:
+        return np.empty(0, np.int64), np.empty(0, np.int64), 0
+    t = pa.concat_tables(tables)
+    keys = np.asarray(t.column("key"), dtype=np.int64)
+    cnts = np.asarray(t.column("cnt"), dtype=np.int64)
+    is_total = np.asarray(t.column("is_total"), dtype=bool)
+    total = int(cnts[is_total].sum())
+    keys, cnts = keys[~is_total], cnts[~is_total]
+    sel = np.lexsort((keys, -cnts))[:k]
+    order = sel[np.argsort(keys[sel])]
+    return keys[order], cnts[order], total

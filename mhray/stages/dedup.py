@@ -425,14 +425,18 @@ def ngram_jaccard_pairs(ds, tau: float, text_col: str = "text",
     Exact: prefix filtering keeps completeness — a pair with Jaccard
     >= tau must share at least one of each side's first
     (|s| - ceil(tau*|s|) + 1) tokens in global rare-first order.
-    The broadcast token-frequency table is BOUNDED: only the
-    ``df_top_k`` most frequent tokens are shipped (``ray.put`` once);
-    tokens outside the cap default to df=1 (rarest-first), ties broken
-    by token value. Completeness only needs every document to rank its
-    tokens by the SAME total order, which the capped map still is —
-    the cap changes pruning efficiency, never the result set.
+    The token document-frequency table comes from one partial-count
+    pass (:func:`mhray.rayutil.top_counts`: per-batch counts, one
+    key-hash shuffle with a partition-local top-k, no global sort) and
+    is BOUNDED: only the ``df_top_k`` most frequent tokens (count desc,
+    token asc) are shipped (``ray.put`` once); tokens outside the cap
+    default to df=1 (rarest-first), ties broken by token value.
+    Completeness only needs every document to rank its tokens by the
+    SAME total order, which the capped map still is — the cap changes
+    pruning efficiency, never the result set.
     """
     from mhray.kernels import hash_strings64
+    from mhray.rayutil import attach_payload_both, top_counts
 
     num_parts = auto_parts(num_parts)
 
@@ -489,13 +493,10 @@ def ngram_jaccard_pairs(ds, tau: float, text_col: str = "text",
         flat, _ = _blob_concat(batch.column("tok_blob"))
         return pa.table({"tok": pa.array(flat.view(np.int64), pa.int64())})
 
-    freq = toks_ds.map_batches(explode_tokens, batch_format="pyarrow") \
-        .groupby("tok").count().rename_columns({"count()": "df"}) \
-        .sort("df", descending=True).limit(df_top_k).take_all()
-    fmap_keys = np.array([r["tok"] for r in freq], dtype=np.int64)
-    fmap_vals = np.array([r["df"] for r in freq], dtype=np.int64)
-    order = np.argsort(fmap_keys)
-    freq_ref = ray.put((fmap_keys[order], fmap_vals[order]))
+    fmap_keys, fmap_vals, _ = top_counts(
+        toks_ds.map_batches(explode_tokens, batch_format="pyarrow"),
+        "tok", df_top_k, num_parts)
+    freq_ref = ray.put((fmap_keys, fmap_vals))
 
     def prefix_explode(batch: pa.Table) -> pa.Table:
         keys_sorted, vals = ray.get(freq_ref)
@@ -516,8 +517,6 @@ def ngram_jaccard_pairs(ds, tau: float, text_col: str = "text",
 
     # attach both token blobs (one broadcast copy, or one shuffle per
     # key) and compute exact Jaccard
-    from mhray.rayutil import attach_payload_both
-
     j = attach_payload_both(
         cands, toks_ds, id_col, ("tok_blob",), num_parts,
         pairs_schema=pa.schema([("lo", pa.int64()), ("hi", pa.int64()),

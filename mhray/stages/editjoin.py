@@ -12,7 +12,11 @@ re-expressed on the repo's prefix-filter machinery):
 
 1. per-doc DISTINCT character q-gram hashes (one shingle-hash call +
    one lexsort per batch — no per-row Python),
-2. a global gram document-frequency table, broadcast once (`ray.put`),
+2. a global gram document-frequency table from one partial-count
+   pass (``rayutil.top_counts``: per-batch counts, one key-hash
+   shuffle with a partition-local top-``df_top_k``, no global sort),
+   broadcast once (``ray.put``); grams outside the cap rank as df=1,
+   which changes pruning efficiency, never the result set,
 3. prefix postings: each doc posts only its ``q*k + 1`` RAREST grams
    (global df-ascending order, ties by hash). Completeness: k edits
    destroy at most ``q*k`` positional q-grams, so at most ``q*k``
@@ -96,7 +100,7 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
     points. Exact (the q-gram prefix filter is complete — header);
     raises ValueError when ``min_len`` is too short for that proof."""
     from mhray.kernels import shingle_hashes64, window_pairs
-    from mhray.rayutil import attach_payload, scrub_blocks
+    from mhray.rayutil import attach_payload_both, top_counts
 
     if min_len - q + 1 <= q * k:
         raise ValueError(
@@ -149,13 +153,10 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
         flat, _ = _blob_concat(batch.column("gram_blob"))
         return pa.table({"g": pa.array(flat.view(np.int64), pa.int64())})
 
-    freq = grams.map_batches(explode_grams, batch_format="pyarrow") \
-        .groupby("g").count().rename_columns({"count()": "df"}) \
-        .sort("df", descending=True).limit(df_top_k).take_all()
-    fk = np.array([r["g"] for r in freq], dtype=np.int64)
-    fv = np.array([r["df"] for r in freq], dtype=np.int64)
-    order = np.argsort(fk)
-    freq_ref = ray.put((fk[order], fv[order]))
+    fk, fv, _ = top_counts(
+        grams.map_batches(explode_grams, batch_format="pyarrow"),
+        "g", df_top_k, num_parts)
+    freq_ref = ray.put((fk, fv))
 
     def prefix_postings(batch: pa.Table) -> pa.Table:
         keys_sorted, vals = ray.get(freq_ref)
@@ -215,26 +216,13 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
         .groupby("part", num_partitions=num_parts) \
         .map_groups(emit_len_pairs, batch_format="pyarrow") \
         .groupby(["lo", "hi"]).count()
-    cand_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
-                             ("count()", pa.int64())])
-    cands = scrub_blocks(cands, cand_schema, num_parts)
-
-    # threshold-guarded attach (broadcast below the row threshold,
-    # one-sort-shuffle above) — the repo's standard keyed lookup
-    side = docs.map_batches(
-        lambda b: pa.table({"_sid": b.column(id_col),
-                            "t": b.column(text_col)}),
-        batch_format="pyarrow", zero_copy_batch=True)
-    side_schema = pa.schema([("_sid", pa.int64()), ("t", pa.string())])
-    j = attach_payload(cands, "lo", side, "_sid", ("t",), "lo",
-                       num_parts, pairs_schema=cand_schema,
-                       side_schema=side_schema)
-    j = attach_payload(j, "hi", side, "_sid", ("t",), "hi",
-                       num_parts,
-                       pairs_schema=pa.schema(
-                           list(cand_schema)
-                           + [pa.field("t_lo", pa.string())]),
-                       side_schema=side_schema)
+    j = attach_payload_both(
+        cands, docs, id_col, (text_col,), num_parts,
+        pairs_schema=pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
+                                ("count()", pa.int64())]),
+        side_schema=pa.schema([(id_col, pa.int64()),
+                               (text_col, pa.string())]))
+    t_lo, t_hi = f"{text_col}_lo", f"{text_col}_hi"
 
     def verify(batch: pa.Table) -> pa.Table:
         # length gate first: |len(a) - len(b)| <= k is necessary for
@@ -242,15 +230,15 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
         # rare-gram postings surface every NEAR-DUP pair — shared rare
         # grams — but near-dups with word-level edits differ in length
         # far beyond k; one vectorized compare spares them all the DP)
-        la = pc.utf8_length(batch.column("t_lo")).to_numpy(
+        la = pc.utf8_length(batch.column(t_lo)).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        lb_ = pc.utf8_length(batch.column("t_hi")).to_numpy(
+        lb_ = pc.utf8_length(batch.column(t_hi)).to_numpy(
             zero_copy_only=False).astype(np.int64)
         batch = batch.filter(pa.array(np.abs(la - lb_) <= k))
         lo = np.asarray(batch.column("lo"), dtype=np.int64)
         hi = np.asarray(batch.column("hi"), dtype=np.int64)
-        ta = batch.column("t_lo").to_pylist()
-        tb = batch.column("t_hi").to_pylist()
+        ta = batch.column(t_lo).to_pylist()
+        tb = batch.column(t_hi).to_pylist()
         dist = np.full(len(lo), k + 1, np.int64)
         for i in range(len(lo)):  # post-gate: output-proportional
             dist[i] = banded_levenshtein(ta[i], tb[i], k)

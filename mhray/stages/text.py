@@ -567,13 +567,16 @@ def trigram_lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
     — gibberish and out-of-distribution text scores low, in-distribution
     text high. Two streaming passes:
 
-    1. TRAIN: per-batch partial trigram counts (combiner) -> one grouped
-       sum -> the TOP-``top_k`` trigrams by (count desc, key asc) come to
-       the driver and broadcast via ``ray.put`` — the model size is
-       bounded by top_k, never by corpus vocabulary (same bounded-
-       broadcast rule as the jaccard df cap). The truncated tail scores
-       as unseen (``floor_count / total``), which only LOWERS scores of
-       rare-trigram documents — exactly the filter's intent.
+    1. TRAIN: one partial-count pass (:func:`mhray.rayutil.top_counts`:
+       per-batch trigram counts, one key-hash shuffle with a
+       partition-local sum and top-k, no global sort) -> the
+       TOP-``top_k`` trigrams by (count desc, key asc) and the corpus
+       trigram total come to the driver and broadcast via ``ray.put`` —
+       the model size is bounded by top_k, never by corpus vocabulary
+       (same bounded-broadcast rule as the jaccard df cap). The
+       truncated tail scores as unseen (``floor_count / total``), which
+       only LOWERS scores of rare-trigram documents — exactly the
+       filter's intent.
     2. SCORE: map pass, vectorized searchsorted lookup against the
        broadcast (keys, logp) arrays; per-doc mean via segment sums.
 
@@ -581,32 +584,20 @@ def trigram_lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
     to per-mille int (round half away from zero), deterministic.
     """
     import ray
-    import ray.data
-    from ray.data.aggregate import Sum
 
-    def partial_counts(batch: pa.Table) -> pa.Table:
+    from mhray.rayutil import top_counts
+    from mhray.stages.candidates import auto_parts
+
+    def trigrams(batch: pa.Table) -> pa.Table:
         keys, _ = _trigram_keys_batch(_texts(batch, text_col))
-        if len(keys) == 0:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
-        uk, cnt = np.unique(keys, return_counts=True)
-        return pa.table({"key": pa.array(uk, pa.int64()),
-                         "cnt": pa.array(cnt.astype(np.int64), pa.int64())})
+        return pa.table({"key": pa.array(keys, pa.int64())})
 
-    partials = ds.map_batches(partial_counts, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    # materialize: consumed twice (total + top-k) — distributed blocks,
-    # never driver-resident
-    grouped = partials.groupby("key").aggregate(
-        Sum("cnt", alias_name="cnt")).materialize()
-    total = grouped.sum("cnt") or 0
-    top = grouped.sort(["cnt", "key"], descending=[True, False]) \
-        .limit(top_k).take_all()
-    mk = np.array([r["key"] for r in top], dtype=np.int64)
-    mc = np.array([r["cnt"] for r in top], dtype=np.float64)
-    order = np.argsort(mk)
+    mk, mc, total = top_counts(
+        ds.map_batches(trigrams, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "key", top_k, auto_parts(num_parts))
     logp = np.log(np.maximum(mc, floor_count) / max(total, 1.0))
-    model_ref = ray.put((mk[order], logp[order],
+    model_ref = ray.put((mk, logp,
                          float(np.log(floor_count / max(total, 1.0)))))
 
     def score(batch: pa.Table) -> pa.Table:

@@ -35,6 +35,27 @@ def test_substring_zero_candidates(ray_session):
     assert len(out) == 0
 
 
+def test_edit_pairs_zero_candidates_and_all_short(ray_session):
+    """No doc reaches min_len, or no two docs share a rare gram: the
+    edit join returns zero rows instead of failing in its attach or
+    verify step."""
+    import random
+
+    import ray.data
+
+    from mhray.stages.editjoin import edit_distance_pairs
+
+    rng = random.Random(1)
+    short = [{"doc_id": i, "text": "short"} for i in range(5)]
+    unrelated = [{"doc_id": i,
+                  "text": "".join(rng.choice("abcdefgh ")
+                                  for _ in range(160))}
+                 for i in range(8)]
+    for rows in (short, unrelated):
+        out = edit_distance_pairs(ray.data.from_items(rows), num_parts=3)
+        assert out.count() == 0
+
+
 @pytest.mark.parametrize("how", ["inner", "left"])
 @pytest.mark.parametrize("threshold", [None, 0], ids=["default", "shuffle"])
 def test_attach_payload_empty_sides(ray_session, how, threshold):

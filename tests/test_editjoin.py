@@ -61,13 +61,9 @@ def test_banded_levenshtein_edges():
     assert banded_levenshtein("café", "cafe", 1) == 1
 
 
-def test_edit_distance_pairs_complete_on_planted(ray_session):
-    """Planted near-identical docs must all surface with exact
-    distances; unrelated docs must not pair."""
-    import ray.data
-
-    from mhray.stages.editjoin import edit_distance_pairs
-
+def _planted():
+    """12 random 160-char docs, each with one copy 1-4 edits away;
+    returns the rows and {(lo, hi): distance} of the in-scope pairs."""
     rng = random.Random(5)
     base = ["".join(rng.choice("abcdefgh ") for _ in range(160))
             for _ in range(12)]
@@ -84,11 +80,24 @@ def test_edit_distance_pairs_complete_on_planted(ray_session):
         if d <= 4 and len(mut) >= 104:
             truth[(keeper, did)] = d
         did += 1
-    ds = ray.data.from_items(rows)
-    out = edit_distance_pairs(ds, k=4, q=8, min_len=104,
-                              num_parts=4).to_pandas()
-    got = {(int(r.lo), int(r.hi)): int(r.dist)
-           for r in out.itertuples()}
+    return rows, truth
+
+
+def _pairs(out) -> dict:
+    return {(int(r.lo), int(r.hi)): int(r.dist)
+            for r in out.to_pandas().itertuples()}
+
+
+def test_edit_distance_pairs_complete_on_planted(ray_session):
+    """Planted near-identical docs must all surface with exact
+    distances; unrelated docs must not pair."""
+    import ray.data
+
+    from mhray.stages.editjoin import edit_distance_pairs
+
+    rows, truth = _planted()
+    got = _pairs(edit_distance_pairs(ray.data.from_items(rows), k=4, q=8,
+                                     min_len=104, num_parts=4))
     # every planted pair found with the exact distance
     for pair, d in truth.items():
         assert got.get(pair) == d, (pair, d, got.get(pair))
@@ -105,3 +114,61 @@ def test_edit_distance_pairs_rejects_too_short_min_len():
     with pytest.raises(ValueError, match="min_len"):
         # 39 code points -> 32 8-grams = q*k: the first unsafe length
         edit_distance_pairs(None, k=4, q=8, min_len=39)
+
+
+def test_df_cap_changes_no_pair(ray_session):
+    """Grams outside the df cap rank as df=1: every doc still orders
+    its grams by one total order, so the cap moves pruning, never the
+    result set."""
+    import ray.data
+
+    from mhray.stages.editjoin import edit_distance_pairs
+
+    rows, truth = _planted()
+    ds = ray.data.from_items(rows)
+    full = _pairs(edit_distance_pairs(ds, num_parts=4))
+    capped = _pairs(edit_distance_pairs(ds, num_parts=4, df_top_k=3))
+    assert full == truth
+    assert capped == full
+
+
+def _dag_edges(op, seen=None):
+    """(input, operator) name pairs of an executed DAG, each named
+    like Ray's plan log: ``AllToAllOperator[Sort]``."""
+    seen = [] if seen is None else seen
+    for dep in op.input_dependencies:
+        seen.append((f"{type(dep).__name__}[{dep.name}]",
+                     f"{type(op).__name__}[{op.name}]"))
+        _dag_edges(dep, seen)
+    return seen
+
+
+def test_edit_join_executions(ray_session, monkeypatch):
+    """The df table is one partial-count shuffle and both texts come
+    from one broadcast attach: the whole join is the eligible-doc and
+    gram materializations, the df pass and the pair chain — and no
+    global sort ranks a frequency table for a limit."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from mhray.stages.editjoin import edit_distance_pairs
+
+    rows, truth = _planted()
+    ds = ray.data.from_items(rows)
+    executed = []
+    execute = StreamingExecutor.execute
+
+    def recording(self, dag, *args, **kwargs):
+        executed.append(_dag_edges(dag))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recording)
+    out = edit_distance_pairs(ds, num_parts=4).materialize()
+    monkeypatch.undo()
+    assert _pairs(out) == truth
+    assert len(executed) <= 4, executed
+    sort_to_limit = [(a, b) for edges in executed for a, b in edges
+                     if a.endswith("[Sort]")
+                     and b.startswith("LimitOperator")]
+    assert not sort_to_limit, sort_to_limit
