@@ -3,9 +3,10 @@ image+caption table (the MhapMain computeMain lifecycle,
 main/MhapMain.java:377-552, re-expressed as streaming Ray Data stages;
 SURVEY.md §3.4).
 
-    images ─ s1: sketch tasks (T1+T2+F4 fused) -> ONE caption_hash
-       │        shuffle assigning exact-caption representatives
-       │        (rep = min iid per identical caption — collapses hot
+    images ─ s1: sketch tasks (T1+T2+F4 fused) -> exact-caption
+       │        representatives (candidates.assign_reps: rep = min
+       │        iid per identical caption, one caption_hash shuffle
+       │        of per-batch minima + one keyed attach — collapses hot
        │        boilerplate BEFORE any LSH explode)        [ckpt s1]
        ├─ s2: rep-level MinHash LSH -> slot-count gate ->
        │        sketch-attach joins -> positional verify   [ckpt s2]
@@ -28,98 +29,27 @@ import ray.data
 
 from mhray.checkpoint import input_fingerprint, stage_checkpoint, stage_digest
 from mhray.config import MhapConfig
-from mhray.stages.candidates import (_part_of, explode_phash_bands,
+from mhray.stages.candidates import (assign_reps, explode_phash_bands,
                                      minhash_candidates)
 from mhray.stages.cluster import assign_clusters, cluster_edges
 from mhray.stages.sketch import sketch_dataset
 from mhray.stages.verify import verify_candidates
 
 
-def _assign_reps(part: pa.Table) -> pa.Table:
-    """Within a caption_hash partition: rep_iid = min iid per caption
-    group (vectorized; one call per partition)."""
-    ch = np.asarray(part.column("caption_hash"), dtype=np.int64)
-    iid = np.asarray(part.column("iid"), dtype=np.int64)
-    order = np.lexsort((iid, ch))
-    ch_s = ch[order]
-    starts = np.flatnonzero(np.diff(ch_s, prepend=ch_s[0] - 1)) if len(ch_s) \
-        else np.empty(0, np.int64)
-    sizes = np.diff(np.append(starts, len(ch_s)))
-    rep_sorted = np.repeat(iid[order][starts], sizes)
-    rep = np.empty(len(iid), dtype=np.int64)
-    rep[order] = rep_sorted
-    return part.append_column("rep_iid", pa.array(rep, pa.int64()))
-
-
 def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
               freq_ref=None, decode_pixels: bool = True,
               num_parts: int = 32, resume: bool = True,
-              persist: bool = True,
-              rep_broadcast_threshold: int = 2_000_000) -> dict:
+              persist: bool = True) -> dict:
     """Run the full pipeline; returns dataset handles + output paths."""
 
     # s1: sketches + exact-caption rep assignment -------------------------
-    # Small corpora: a NARROW (caption_hash, iid) aggregate is broadcast
-    # and looked up per batch — the wide sketch rows never shuffle.
-    # Above the threshold: one caption_hash-partitioned shuffle of the
-    # sketch table (the scale path; rep map no longer driver-resident).
+    # The sketch table is materialized once: assign_reps reads it for
+    # the per-caption minima, then attaches them to every row.
     def compute_sketches():
-        from mhray.checkpoint import parquet_num_rows
-
-        n_rows = parquet_num_rows(images_path)
         images = ray.data.read_parquet(images_path)
         sk = sketch_dataset(images, cfg, freq_ref=freq_ref,
-                            decode_pixels=decode_pixels)
-        if n_rows <= rep_broadcast_threshold:
-            # rep map via per-batch PARTIAL min-aggregates collected to
-            # the driver (tiny) — a full Ray groupby has seconds of
-            # fixed cost this path avoids; the wide rows never re-scan
-            sk = sk.materialize()
-
-            def partial_rep(batch: pa.Table) -> pa.Table:
-                ch = np.asarray(batch.column("caption_hash"), dtype=np.int64)
-                iid = np.asarray(batch.column("iid"), dtype=np.int64)
-                order = np.lexsort((iid, ch))
-                ch_s = ch[order]
-                first = np.ones(len(ch_s), dtype=bool)
-                first[1:] = np.diff(ch_s) != 0
-                return pa.table({
-                    "caption_hash": pa.array(ch_s[first], pa.int64()),
-                    "iid": pa.array(iid[order][first], pa.int64()),
-                })
-
-            partials = sk.select_columns(["caption_hash", "iid"]).map_batches(
-                partial_rep, batch_format="pyarrow", zero_copy_batch=True
-            ).take_all()
-            ch_all = np.array([r["caption_hash"] for r in partials], np.int64)
-            iid_all = np.array([r["iid"] for r in partials], np.int64)
-            order = np.lexsort((iid_all, ch_all))
-            ch_s, iid_s = ch_all[order], iid_all[order]
-            first = np.ones(len(ch_s), dtype=bool)
-            if len(ch_s) > 1:
-                first[1:] = np.diff(ch_s) != 0
-            ref = ray.put((ch_s[first], iid_s[first]))
-
-            def lookup(batch: pa.Table) -> pa.Table:
-                k, v = ray.get(ref)
-                ch = np.asarray(batch.column("caption_hash"), dtype=np.int64)
-                pos = np.minimum(np.searchsorted(k, ch), max(0, len(k) - 1))
-                rep = np.where(k[pos] == ch, v[pos],
-                               np.asarray(batch.column("iid"), np.int64))
-                return batch.append_column("rep_iid", pa.array(rep, pa.int64()))
-
-            return sk.map_batches(lookup, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-
-        def add_part(batch: pa.Table) -> pa.Table:
-            ch = np.asarray(batch.column("caption_hash"), dtype=np.int64)
-            return batch.append_column(
-                "chpart", pa.array(_part_of(ch, num_parts), pa.int32()))
-
-        with_part = sk.map_batches(add_part, batch_format="pyarrow",
-                                   zero_copy_batch=True) \
-            .groupby("chpart", num_partitions=num_parts).map_groups(_assign_reps, batch_format="pyarrow")
-        return with_part.drop_columns(["chpart"])
+                            decode_pixels=decode_pixels).materialize()
+        return assign_reps(sk, num_parts)
 
     in_fp = input_fingerprint(images_path)
     sketches = stage_checkpoint("s1_sketches", out_dir, compute_sketches, cfg,

@@ -9,19 +9,29 @@ with shuffles that never materialize a global index:
    rows — the distributed analog of the per-slot hash-map probe
    (MinHashSearch.java:164-181)
 2. co-locate keys by hash partition (``part = hash(key) % P``) and emit
-   intra-group candidate pairs PARTITION-WISE (one vectorized call per
-   partition, not one Python call per group)
+   candidate pairs PARTITION-WISE (one vectorized call per partition,
+   not one Python call per group)
 3. count shared slots per pair and gate on num_min_matches
    (MinHashSearch.java:204) — grouped count = the HitCounter aggregate
    (utils/HitCounter.java:31-54)
+
+One core serves both of the reference's search modes, as
+``AbstractMatchSearch.findMatches`` does with its ``toSelf`` flag
+(impl/AbstractMatchSearch.java:203-285): :func:`minhash_candidates`
+with ``index=None`` is the self-join (pairs within each key group,
+canonical ``lo < hi``); with an ``index`` sketch table, both sides are
+exploded into the same shuffle tagged by ``role`` and each key group
+emits query x index cross pairs (``lo`` = query iid, ``hi`` = index
+iid). :func:`mhray.stages.verify.verify_candidates` takes the same
+``index``.
 
 Skew handling (explicit, §4 of SURVEY.md): groups larger than
 ``band_group_cap`` are truncated to the cap (keeping the smallest iids,
 deterministic) and flagged ``capped=True`` on every emitted pair — no
 silent drops; the count of dropped ids is logged per batch. The
 *structural* skew killer is upstream: identical captions are collapsed
-to one representative before exploding (see pipelines/dedup.py), so a
-hot boilerplate caption contributes ONE row here, not thousands.
+to one representative (:func:`assign_reps`) before exploding, so a hot
+boilerplate caption contributes ONE row here, not thousands.
 
 The same machinery generates image-axis candidates from pHash band keys
 (sketch/BitVectorIndex.java:85-162 banding analog).
@@ -76,8 +86,9 @@ def explode_phash_bands(batch: pa.Table, n_bands: int, band_bits: int,
 
 
 def explode_minhash_packed(batch: pa.Table, num_hashes: int,
-                           num_parts: int) -> pa.Table:
-    """(minhash binary, iid) -> per-partition PACKED entry blobs.
+                           num_parts: int, role: int = 0) -> pa.Table:
+    """(minhash binary, iid) -> per-partition PACKED entry blobs, each
+    row tagged with the side's ``role`` (0 = query / self, 1 = index).
 
     The naive explode ships rows*num_hashes individual (part, key, iid)
     rows through the sort shuffle — at 512 hashes that is 512 20-byte
@@ -118,6 +129,7 @@ def explode_minhash_packed(batch: pa.Table, num_hashes: int,
                           pa.binary()),
         "iw": pa.array(np.full(len(starts), 4 if narrow else 8, np.int8),
                        pa.int8()),
+        "role": pa.array(np.full(len(starts), role, np.int8), pa.int8()),
     })
 
 
@@ -161,14 +173,22 @@ def unpack_entries(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ks), np.concatenate(vs)
 
 
-def make_emit_pairs_packed(cap: int, num_parts: int | None = None):
+def make_emit_pairs_packed(cap: int, num_parts: int | None = None,
+                           cross: bool = False):
     """map_groups(part) fn for the packed explode: unpack the entry
-    blobs, then the same vectorized intra-group pair emission +
-    partition-local partial counts as ``make_emit_pairs``."""
+    blobs, emit pairs within every key group (``cross=False``, the
+    self-join) or role-0 x role-1 pairs of every key present on both
+    sides (``cross=True``), and total them partition-locally."""
 
     def emit_pairs_packed(part: pa.Table) -> pa.Table:
-        keys, iids = unpack_entries(part)
-        lo, hi, capped, dropped = _pairs_within_groups(keys, iids, cap)
+        if cross:
+            role = np.asarray(part.column("role"), dtype=np.int8)
+            qk, qi = unpack_entries(part.filter(pa.array(role == 0)))
+            ik, ii = unpack_entries(part.filter(pa.array(role == 1)))
+            lo, hi, capped, dropped = _cross_pairs(qk, qi, ik, ii, cap)
+        else:
+            keys, iids = unpack_entries(part)
+            lo, hi, capped, dropped = _pairs_within_groups(keys, iids, cap)
         if dropped:
             print(f"[mhray] candidate group cap: dropped {dropped} ids in one partition")
         return aggregate_pair_partials(lo, hi, capped, num_parts)
@@ -268,6 +288,43 @@ def _cross_pairs(qkeys: np.ndarray, qiids: np.ndarray,
 # ---------------------------------------------------------------------------
 # rep -> member expansion
 # ---------------------------------------------------------------------------
+
+def assign_reps(sk, num_parts: int):
+    """Sketch rows + ``rep_iid``: the smallest iid among the rows with
+    the same ``caption_hash`` (identical captions have identical
+    sketches, so only reps need to enter the LSH exchange).
+
+    Per-batch partial minima go through ONE caption-hash shuffle to the
+    global minimum; the (caption_hash, rep) table is then attached with
+    :func:`mhray.rayutil.attach_payload`, whose policy broadcasts it or
+    shuffles it with ``sk`` by its size. Pass a materialized ``sk``: it
+    is read twice."""
+    from mhray.rayutil import attach_payload
+
+    def min_rep(batch: pa.Table) -> pa.Table:
+        """(caption_hash, rep) rows -> the smallest rep per caption,
+        with its shuffle partition: both the partial and the reduce."""
+        ch = np.asarray(batch.column("caption_hash"), dtype=np.int64)
+        rep = np.asarray(batch.column("rep"), dtype=np.int64)
+        order = np.lexsort((rep, ch))
+        first = np.ones(len(ch), dtype=bool)
+        first[1:] = ch[order][1:] != ch[order][:-1]
+        ch, rep = ch[order][first], rep[order][first]
+        return pa.table({"__part": pa.array(_part_of(ch, num_parts),
+                                            pa.int32()),
+                         "caption_hash": pa.array(ch, pa.int64()),
+                         "rep": pa.array(rep, pa.int64())})
+
+    reps = sk.select_columns(["caption_hash", "iid"]) \
+        .rename_columns({"iid": "rep"}) \
+        .map_batches(min_rep, batch_format="pyarrow", zero_copy_batch=True) \
+        .groupby("__part", num_partitions=num_parts) \
+        .map_groups(min_rep, batch_format="pyarrow").materialize()
+    return attach_payload(
+        sk, "caption_hash", reps, "caption_hash", ("rep",), "iid",
+        num_parts, side_schema=pa.schema([("caption_hash", pa.int64()),
+                                          ("rep", pa.int64())]))
+
 
 def pack_members(ds, key_col: str, member_cols: tuple, num_parts: int):
     """One row per distinct ``key_col`` value: ``(key_col, members)``,
@@ -503,57 +560,64 @@ def make_pair_min(value_col: str, payload_cols: tuple = ()):
 # dataset-level wiring
 # ---------------------------------------------------------------------------
 
-def minhash_candidates(sketches_ds, cfg: MhapConfig, num_parts: int = 64):
+def minhash_candidates(sketches_ds, cfg: MhapConfig, num_parts: int = 64,
+                       index=None):
     """sketches -> gated candidate pairs (lo, hi, shared_slots).
 
+    ``index=None`` is the self-join over ``sketches_ds`` (``lo < hi``).
+    With an ``index`` sketch table, ``sketches_ds`` is the query side
+    and only query x index pairs are emitted (``lo`` = query iid,
+    ``hi`` = index iid; the two iid spaces are independent).
+
     Two shuffles: groupby(part) to co-locate LSH keys, then
-    groupby(lo,hi) to total the per-partition partial counts and apply
-    the num_min_matches gate."""
-    bands = sketches_ds.map_batches(
-        explode_minhash_packed,
-        fn_kwargs={"num_hashes": cfg.num_hashes, "num_parts": num_parts},
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    groupby(pair_part) to total the per-partition partial counts and
+    apply the num_min_matches gate."""
+    def explode(side, role: int):
+        return side.map_batches(
+            explode_minhash_packed,
+            fn_kwargs={"num_hashes": cfg.num_hashes, "num_parts": num_parts,
+                       "role": role},
+            batch_format="pyarrow", zero_copy_batch=True,
+        )
+
+    bands = explode(sketches_ds, 0)
+    if index is not None:
+        bands = bands.union(explode(index, 1))
     pairs = bands.groupby("part", num_partitions=num_parts).map_groups(
-        make_emit_pairs_packed(cfg.band_group_cap, num_parts=num_parts),
+        make_emit_pairs_packed(cfg.band_group_cap, num_parts=num_parts,
+                               cross=index is not None),
         batch_format="pyarrow"
     )
     gated = pairs.groupby("pair_part", num_partitions=num_parts).map_groups(
         make_count_gate(cfg.num_min_matches), batch_format="pyarrow")
     if cfg.min_store_length > 0:
-        # MinHashSearch.java:210-225: membership is "never short to
-        # short" (the other two clauses only prevent double-processing
-        # in the reference's probe loop). Applied between the count
-        # gate and verify, where the pair table is smallest.
-        side = sketches_ds.select_columns(["iid", "caption_len"])
-        gated = apply_store_length_gate(gated, side, side,
-                                        cfg.min_store_length, num_parts)
+        gated = apply_store_length_gate(
+            gated, sketches_ds, sketches_ds if index is None else index,
+            cfg.min_store_length, num_parts)
     return gated
 
 
 def apply_store_length_gate(gated, lo_side, hi_side, msl: int,
                             num_parts: int):
-    """The min_store_length membership rule shared by the self-join and
-    the query-vs-index mode — "never short to short"
-    (MinHashSearch.java:210-212): a (lo, hi, shared_slots) pair
-    survives only if at least one side's caption_len >= ``msl``.
-    ``lo_side`` / ``hi_side`` are (iid, caption_len) datasets (the same
-    table twice for the self-join; query and index tables for the
-    incremental cross mode)."""
+    """The min_store_length membership rule — "never short to short"
+    (MinHashSearch.java:210-225; the other two clauses only prevent
+    double-processing in the reference's probe loop): a (lo, hi,
+    shared_slots) pair survives only if at least one side's caption_len
+    >= ``msl``, ``lo`` read from ``lo_side`` and ``hi`` from
+    ``hi_side``. Applied between the count gate and verify, where the
+    pair table is smallest."""
     from mhray.rayutil import attach_payload
 
     side_schema = pa.schema([("iid", pa.int64()),
                              ("caption_len", pa.int32())])
-    pair_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
-                             ("shared_slots", pa.int64())])
-    g = attach_payload(gated, "lo", lo_side, "iid", ("caption_len",),
-                       "lo", num_parts, pairs_schema=pair_schema,
-                       side_schema=side_schema)
-    mid = pa.schema(list(pair_schema) + [pa.field("caption_len_lo",
-                                                  pa.int32())])
-    g = attach_payload(g, "hi", hi_side, "iid", ("caption_len",),
-                       "hi", num_parts, pairs_schema=mid,
-                       side_schema=side_schema)
+    schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
+                        ("shared_slots", pa.int64())])
+    for key, side in (("lo", lo_side), ("hi", hi_side)):
+        gated = attach_payload(
+            gated, key, side.select_columns(["iid", "caption_len"]), "iid",
+            ("caption_len",), key, num_parts, pairs_schema=schema,
+            side_schema=side_schema)
+        schema = schema.append(pa.field(f"caption_len_{key}", pa.int32()))
 
     def store_gate(batch: pa.Table) -> pa.Table:
         ll = np.asarray(batch.column("caption_len_lo"), np.int32)
@@ -565,5 +629,5 @@ def apply_store_length_gate(gated, lo_side, hi_side, msl: int,
             "shared_slots": batch.column("shared_slots").filter(keep),
         })
 
-    return g.map_batches(store_gate, batch_format="pyarrow",
-                         zero_copy_batch=True)
+    return gated.map_batches(store_gate, batch_format="pyarrow",
+                             zero_copy_batch=True)

@@ -5,9 +5,12 @@ hash lookup, so it becomes two keyed attaches
 (:func:`mhray.rayutil.attach_payload`) putting each side's bottom
 sketch on the candidate pair: the sketch table is broadcast while it
 fits the row/byte threshold (sketches are ~KB rows, so the byte cap
-binds first) and shuffled once per key above it. The §2.9 verify
-kernel then runs as a stateless ``map_batches`` (pure numpy per pair,
-no shared state — SURVEY.md §7.2).
+binds first) and shuffled once per key above it. ``lo`` reads the
+sketch table given and ``hi`` the ``index`` table when there is one
+(query mode), else the same table (the self-join), so the optional
+1-bit pre-filter and the verify run identically in both modes. The
+§2.9 verify kernel then runs as a stateless ``map_batches`` (pure
+numpy per pair, no shared state — SURVEY.md §7.2).
 """
 
 from __future__ import annotations
@@ -20,32 +23,32 @@ from mhray.kernels import unpack_bottom_sketch
 
 
 def attach_sketches(pairs_ds, sketches_ds, num_partitions: int = 32,
-                    columns=("bs_blob",)):
-    """pairs(lo, hi, ...) ⋈ sketches on lo then hi — two keyed
-    attaches (rayutil.attach_payload) rather than join operators,
-    whose per-join aggregator actor pools dominate at moderate pair
-    counts."""
+                    columns=("bs_blob",), index=None):
+    """pairs(lo, hi, ...) ⋈ sketches on lo, then ⋈ ``index`` (default:
+    the same sketches) on hi — two keyed attaches
+    (rayutil.attach_payload) rather than join operators, whose per-join
+    aggregator actor pools dominate at moderate pair counts."""
     from mhray.rayutil import attach_payload
 
-    # materialize the narrow projection once: it is consumed by BOTH
-    # attach passes (otherwise the upstream plan re-executes per pass)
-    side = sketches_ds.select_columns(["iid", *columns]).materialize()
-    side_schema = getattr(side.schema(), "base_schema", side.schema())
-    if side_schema is None:
-        # an EMPTY sketch side has no schema to read; every payload
-        # this stage attaches is a packed binary blob
-        side_schema = pa.schema([("iid", pa.int64())]
-                                + [(c, pa.binary()) for c in columns])
-    pair_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
-                             ("shared_slots", pa.int64())])
-    j = attach_payload(pairs_ds, "lo", side, "iid", columns, "lo",
-                       num_partitions, pairs_schema=pair_schema,
-                       side_schema=side_schema)
-    mid_schema = pa.schema(list(pair_schema) + [
-        pa.field(f"{c}_lo", side_schema.field(c).type) for c in columns])
-    j = attach_payload(j, "hi", side, "iid", columns, "hi", num_partitions,
-                       pairs_schema=mid_schema, side_schema=side_schema)
-    return j
+    # materialize the narrow projection once: in the self-join it is
+    # consumed by BOTH attach passes (otherwise the upstream plan
+    # re-executes per pass)
+    lo_side = sketches_ds.select_columns(["iid", *columns]).materialize()
+    hi_side = lo_side if index is None else \
+        index.select_columns(["iid", *columns]).materialize()
+    # an EMPTY sketch side has no schema to read; every payload this
+    # stage attaches is a packed binary blob
+    side_schema = pa.schema([("iid", pa.int64())]
+                            + [(c, pa.binary()) for c in columns])
+    schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
+                        ("shared_slots", pa.int64())])
+    for key, side in (("lo", lo_side), ("hi", hi_side)):
+        pairs_ds = attach_payload(pairs_ds, key, side, "iid", columns, key,
+                                  num_partitions, pairs_schema=schema,
+                                  side_schema=side_schema)
+        schema = pa.schema(list(schema) + [
+            pa.field(f"{c}_{key}", pa.binary()) for c in columns])
+    return pairs_ds
 
 
 def _sketch_concat(col):
@@ -117,18 +120,13 @@ class VerifyPairs:
 
 
 def verify_candidates(pairs_ds, sketches_ds, cfg: MhapConfig,
-                      num_partitions: int = 32):
+                      num_partitions: int = 32, index=None):
+    """Gated (lo, hi, shared_slots) pairs -> verified pairs with their
+    score and overlap, ``lo`` sketches from ``sketches_ds`` and ``hi``
+    sketches from ``index`` (default: ``sketches_ds``, the self-join)."""
     # candidate-pair tables are small relative to the corpus; fewer
     # shuffle partitions = fewer reduce tasks on the attach scale path
     num_partitions = max(2, min(8, num_partitions))
-    # the count-gate groupby emits few blocks; the verify map runs one
-    # task per block, so re-split the (narrow) pair table FIRST —
-    # 2 blocks per CPU keeps every core busy through the per-pair
-    # kernel, and only (lo, hi, count) rows move
-    import ray as _ray
-
-    cpus = int(_ray.cluster_resources().get("CPU", 4))
-    pairs_ds = pairs_ds.repartition(max(16, 2 * cpus))
     if cfg.bit_prefilter:
         # F5 pre-filter: the 1-bit/slot signature (64x smaller than the
         # bottom sketch) rides the attach first; pairs whose cheap
@@ -139,7 +137,7 @@ def verify_candidates(pairs_ds, sketches_ds, cfg: MhapConfig,
 
         words = cfg.num_hashes // 64
         joined = attach_sketches(pairs_ds, sketches_ds, num_partitions,
-                                 columns=("bitsig",))
+                                 columns=("bitsig",), index=index)
         floor = cfg.bit_prefilter_min
 
         def bit_gate(batch: pa.Table) -> pa.Table:
@@ -151,7 +149,8 @@ def verify_candidates(pairs_ds, sketches_ds, cfg: MhapConfig,
 
         pairs_ds = joined.map_batches(bit_gate, batch_format="pyarrow",
                                       zero_copy_batch=True)
-    joined = attach_sketches(pairs_ds, sketches_ds, num_partitions)
+    joined = attach_sketches(pairs_ds, sketches_ds, num_partitions,
+                             index=index)
     return joined.map_batches(
         VerifyPairs(cfg), batch_size=cfg.verify_batch_size,
         batch_format="pyarrow", zero_copy_batch=True,

@@ -18,9 +18,9 @@ def test_shuffle_attach_path_matches_references(ray_session, small_corpus,
                         lambda *args, **kwargs: False)
 
     # find_matches: a plain index (no rep_iid) against the self-join,
-    # then a rep_iid index against the plain one
+    # then a plain and a rep_iid index against the uncollapsed one
     test_incremental.test_find_matches_equals_restricted_self_join(
-        ray_session, small_corpus)
+        ray_session, small_corpus, PRESETS["captions"])
     test_incremental.test_index_rep_collapse_parity(ray_session,
                                                     small_corpus)
 
