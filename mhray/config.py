@@ -42,15 +42,12 @@ class MhapConfig:
     phash_band_bits: int = 16
     phash_max_hamming: int = 10         # accept gate on candidate pairs
 
-    # --- exact-substring (suffix-array/winnowing) pass ---
+    # --- exact-substring pass (stages/substring.py: winnowed
+    # fingerprints, then an exact per-pair LCS verify) ---
     substr_pass: bool = False           # fold exact-substring pairs into the
                                         # flagship's caption condition
     substr_min_length: int = 32         # minimal shared-substring length
     substr_window: int = 16             # winnowing window (fingerprint sampling)
-    substr_engine: str = "winnow"       # "winnow" (fingerprints + per-pair LCS
-                                        # probes) or "suffix_array" (per-group
-                                        # generalized SA + LCP run-sweep) —
-                                        # pytest-asserted table-identical
 
     # --- MinHash bit-sketch pre-filter (F5, MinHashBitSketch.java) ---
     # opt-in: attach the 64x-smaller 1-bit/slot signature to candidate

@@ -218,22 +218,16 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
 
     def _with_substring(pairs_so_far):
         """Optional north-star axis: exact long-substring caption pairs
-        gated by the same image condition, unioned into the caption
-        pairs and deduped. cfg.substr_engine picks the detection
-        engine — winnowed fingerprints + per-pair LCS probes, or the
-        generalized per-group suffix array (identical outputs,
-        pytest-asserted)."""
+        (``substring_pairs``: winnowed fingerprints, then an exact
+        per-pair LCS verify) gated by the same image condition, unioned
+        into the caption pairs and deduped."""
         if not cfg.substr_pass:
             return pairs_so_far
 
         from mhray.kernels import hamming64, phash_band_keys
         from mhray.rayutil import attach_payload_both
         from mhray.stages.candidates import _pair_part, make_pair_min
-        if cfg.substr_engine == "suffix_array":
-            from mhray.stages.suffixarray import \
-                suffix_array_pairs as substring_pairs
-        else:
-            from mhray.stages.substring import substring_pairs
+        from mhray.stages.substring import substring_pairs
 
         def to_doc(batch: pa.Table) -> pa.Table:
             from mhray.oracle import image_iid

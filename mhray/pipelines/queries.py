@@ -654,25 +654,12 @@ def ev_user_topk(sf_dir: str):
 def d_substring_pairs(sf_dir: str):
     """Exact long-substring dup pairs (winnowed fingerprints + LCS
     verify). Full-oracle check: LCS length == max diagonal window-run
-    + 39 (the gaps-and-islands SQL in _SQL_LCS_PAIRS)."""
+    + 39 (the gaps-and-islands SQL in _SQL_LCS_PAIRS). The registry
+    also serves it as ``d_suffix_pairs``, the north-star's
+    suffix-array key: the same (lo, hi, lcs_len) contract and oracle."""
     from mhray.stages.substring import substring_pairs
 
     return substring_pairs(_read(sf_dir, "documents", ["doc_id", "text"]), min_len=40)
-
-
-def d_suffix_pairs(sf_dir: str):
-    """Exact long-substring dup pairs via the generalized SUFFIX-ARRAY
-    engine (the north-star's third leg): winnowed fingerprints key the
-    co-grouping, one per-group suffix array + adjacent-LCP run-sweep
-    emits candidates, the collision-proof LCS kernel verifies.
-    Full-oracle check via the diagonal-run LCS SQL (_SQL_LCS_PAIRS);
-    exact table-for-table parity with d_substring_pairs (an
-    independent detection engine over the same contract) is also
-    pytest-asserted (tests/test_suffixarray.py)."""
-    from mhray.stages.suffixarray import suffix_array_pairs
-
-    return suffix_array_pairs(_read(sf_dir, "documents", ["doc_id", "text"]),
-                              min_len=40, num_parts=_doc_parts(sf_dir))
 
 
 def d_sketch_align(sf_dir: str):
@@ -2185,7 +2172,7 @@ QUERIES = {
     "e_dup_lsh": e_dup_lsh,
     "e_knn_ivf": e_knn_ivf,
     "d_substring_pairs": d_substring_pairs,
-    "d_suffix_pairs": d_suffix_pairs,
+    "d_suffix_pairs": d_substring_pairs,
     "d_incremental_pairs": d_incremental_pairs,
     "d_tiered_dedup": d_tiered_dedup,
     "e_kmeans": e_kmeans,
@@ -2933,7 +2920,8 @@ ORACLE_SQL = {
     # graduated in round 5 via the diagonal-run LCS oracle below)
 }
 
-# Exact longest-common-substring oracle for the two substring engines.
+# Exact longest-common-substring oracle for the substring engine
+# (both keys, d_substring_pairs and d_suffix_pairs).
 # A common substring of length L >= 40 shares a 40-char window at every
 # start offset, i.e. it appears as a run of L-39 consecutive window
 # matches on one (pos_a - pos_b) diagonal; conversely any diagonal run

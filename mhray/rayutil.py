@@ -19,15 +19,12 @@ pools dominated at the pair counts these stages see, and which could
 not execute a zero-row side. Ray's sort-based groupby emits
 schema-less EMPTY blocks for empty partitions and ``map_batches`` skips
 zero-row blocks, so every UDF here reads columns only from non-empty
-batches; :func:`scrub_blocks` remains for consumers that need a typed
-schema on an all-empty dataset.
+batches.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
-
-import ray.data
 
 
 def binary_flat_view(col, item_bytes: int, dtype: str):
@@ -206,22 +203,6 @@ def _attach_broadcast(pairs_ds, key_col, side_ds, side_key, payload_cols,
 
     return pairs_ds.map_batches(lookup, batch_format="pyarrow",
                                 zero_copy_batch=True)
-
-
-def scrub_blocks(ds, schema: pa.Schema | None = None, num_blocks: int = 8):
-    """Remove schema-less empty blocks; optionally guarantee a typed
-    schema even for an all-empty dataset: a typed empty block is
-    unioned in AFTER the repartition (repartition of an ALL-empty
-    dataset strips every block's schema, so it must come first) so a
-    downstream consumer always sees at least one TYPED bundle."""
-    # repartition FIRST (absorbs schema-less empties into typed
-    # neighbors when any data exists), then union the typed empty so
-    # it survives — repartition of an ALL-empty dataset strips the
-    # schema from every block, so the union must come after.
-    out = ds.repartition(num_blocks)
-    if schema is not None:
-        out = out.union(ray.data.from_arrow(schema.empty_table()))
-    return out
 
 
 def anti_join_ids(ds, ids_ds, key_col: str, ids_key: str | None = None,

@@ -427,26 +427,6 @@ def _hyperplanes(dim: int, n_bits: int, seed: int = 7) -> np.ndarray:
     return h / np.linalg.norm(h, axis=1, keepdims=True)
 
 
-def lsh_buckets(ds, n_bits: int = 12, seed: int = 7,
-                id_col: str = "vec_id", emb_col: str = "embedding"):
-    """(iid, bucket) via random-hyperplane sign LSH."""
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        m = _embedding_matrix(batch, emb_col)
-        planes = _hyperplanes(m.shape[1], n_bits, seed)
-        signs = (m @ planes.T) > 0  # (B, n_bits)
-        buckets = np.zeros(len(m), dtype=np.int64)
-        for b in range(n_bits):
-            buckets |= signs[:, b].astype(np.int64) << b
-        return pa.table({
-            "iid": batch.column(id_col).cast(pa.int64()),
-            "bucket": pa.array(buckets, pa.int64()),
-        })
-
-    return ds.map_batches(bucketize, batch_format="pyarrow",
-                          zero_copy_batch=True)
-
-
 def ivf_knn(ds, query_ids: list[int], k: int = 5, n_cells: int = 16,
             nprobe: int = 4, lloyd_iters: int = 2, seed: int = 13,
             id_col: str = "vec_id", emb_col: str = "embedding"):

@@ -18,9 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-import ray.data
-
 from mhray.config import MhapConfig
 
 
@@ -60,16 +57,6 @@ def shingle_freq_table(ds, cfg: MhapConfig, text_col: str = "caption",
 
     return kept.map_batches(to_freq, batch_format="pyarrow",
                             zero_copy_batch=True)
-
-
-def freq_table_ref(ds, cfg: MhapConfig, text_col: str = "caption",
-                   min_count: int = 2):
-    """Materialize the frequency table and ``ray.put`` it for the sketch
-    tasks (the kmerFilter load pattern, main/MhapMain.java:339-373)."""
-    freq_ds = shingle_freq_table(ds, cfg, text_col, min_count)
-    refs = freq_ds.to_arrow_refs()
-    table = pa.concat_tables([ray.get(r) for r in refs])
-    return ray.put(table)
 
 
 # ---------------------------------------------------------------------------

@@ -516,7 +516,6 @@ def phash_knn(images_ds, query_ids: list[str], k: int = 5,
     import ray
 
     from mhray.kernels import hamming64
-    from mhray.rayutil import scrub_blocks
 
     _qset = pa.array(list(query_ids), pa.string())
 
@@ -529,12 +528,11 @@ def phash_knn(images_ds, query_ids: list[str], k: int = 5,
     q_rows = images_ds.select_columns([id_col, phash_col]) \
         .map_batches(_pick_queries, batch_format="pyarrow",
                      zero_copy_batch=True).take_all()
+    empty = ray.data.from_arrow(pa.schema([
+        ("query_id", pa.string()), ("neighbor_id", pa.string()),
+        ("hamming", pa.int64()), ("rank", pa.int64())]).empty_table())
     if not q_rows:
-        return ray.data.from_arrow(pa.table({
-            "query_id": pa.array([], pa.string()),
-            "neighbor_id": pa.array([], pa.string()),
-            "hamming": pa.array([], pa.int64()),
-            "rank": pa.array([], pa.int64())}))
+        return empty
     qid = [r[id_col] for r in q_rows]
     qph = np.array([r[phash_col] for r in q_rows], dtype=np.int64)
     q_ref = ray.put((qid, qph))
@@ -584,8 +582,8 @@ def phash_knn(images_ds, query_ids: list[str], k: int = 5,
 
     parts = images_ds.map_batches(partial, batch_format="pyarrow",
                                   zero_copy_batch=True)
-    parts = scrub_blocks(parts, pa.schema([
-        ("query_id", pa.string()), ("neighbor_id", pa.string()),
-        ("hamming", pa.int64())]))
-    return parts.groupby("query_id").map_groups(final_topk,
-                                                batch_format="pyarrow")
+    # when every partial is empty (the corpus holds only the queries)
+    # final_topk never runs and the grouped output has no schema; the
+    # typed empty block keeps the four columns
+    return parts.groupby("query_id").map_groups(
+        final_topk, batch_format="pyarrow").union(empty)

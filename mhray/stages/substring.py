@@ -1,17 +1,22 @@
 """Exact long-substring duplicate pass (the north-star suffix-array
 axis): find pairs of texts sharing an exact substring of >= L chars
 that MinHash can miss (short texts with one long verbatim quote).
+This is mhray's one exact-substring engine; the flagship's
+``substr_pass`` and both catalog keys (``d_substring_pairs``,
+``d_suffix_pairs``) run it.
 
-Ray-Data-first formulation: winnowed L-gram fingerprints
-(flat_map) -> fingerprint groupby -> candidate pairs -> exact verify.
-Winnowing guarantee: any common substring of length >= gram + window - 1
-shares at least one selected fingerprint, so candidates are complete
-for the guarantee length; the verify step then computes the true
-longest common substring per pair (no false positives).
+Ray-Data-first formulation, filter then verify: winnowed L-gram
+fingerprints (map_batches) -> fingerprint groupby -> candidate pairs
+-> exact verify. Winnowing guarantee: any common substring of length
+>= gram + window - 1 shares at least one selected fingerprint, so
+candidates are complete for the guarantee length; the verify step
+then computes the true longest common substring per pair (no false
+positives).
 
-The per-pair verify uses a hash-indexed longest-common-substring
-search (binary search over length with rolling window hashes) —
-the suffix-array spirit without per-partition suffix arrays.
+The per-pair verify is a hash-indexed longest-common-substring search
+(binary search over length with rolling window hashes, every hash hit
+confirmed on the code units), which answers the same question a
+generalized suffix array over the pair would.
 """
 
 from __future__ import annotations
@@ -179,16 +184,11 @@ def substring_pairs(ds, min_len: int = 32, window: int = 8,
             "iid": pa.array(ids[doc_sel], pa.int64()),
         })
 
-    from mhray.rayutil import scrub_blocks
-
     cands = texts_ds.map_batches(fingerprint, batch_format="pyarrow",
                                  zero_copy_batch=True) \
         .groupby("part", num_partitions=num_parts).map_groups(make_emit_pairs(group_cap),
                                     batch_format="pyarrow") \
         .groupby(["lo", "hi"]).count()
-    cands = scrub_blocks(cands, pa.schema([
-        ("lo", pa.int64()), ("hi", pa.int64()), ("count()", pa.int64())]),
-        num_parts)
 
     from mhray.rayutil import attach_payload_both
 

@@ -238,6 +238,33 @@ def test_phash_knn_tie_break_deterministic(ray_session):
         assert list(out["neighbor_id"]) == ["na", "nb", "nc"], parts
 
 
+@pytest.mark.parametrize("n_query", [1, 3])
+def test_phash_knn_only_query_rows(ray_session, n_query):
+    """A corpus holding nothing but the query rows: with one query
+    every partial is empty (self is excluded), so the final grouping
+    runs over zero-row blocks only. It must return zero rows whose
+    schema still names the four output columns (Ray's ``to_pandas``
+    drops the columns of an all-empty dataset, so the schema is where
+    they show) instead of crashing. With three queries the same layout
+    still finds each query's two neighbors."""
+    import pyarrow as pa
+
+    import ray.data
+    from mhray.stages.multimodal import phash_knn
+
+    ids = [f"q{i}" for i in range(n_query)]
+    tbl = pa.table({"image_id": pa.array(ids),
+                    "phash": pa.array([1 << i for i in range(n_query)],
+                                      pa.int64())})
+    out = phash_knn(ray.data.from_arrow(tbl).repartition(n_query),
+                    ids, k=3)
+    rows = out.take_all()
+    assert len(rows) == n_query * (n_query - 1)
+    cols = ["query_id", "neighbor_id", "hamming", "rank"]
+    assert out.schema().names == cols
+    assert all(list(r) == cols for r in rows)
+
+
 def test_avi_vids_not_stream_zero():
     """An AVI whose video is NOT stream 0 (audio strl first — a common
     mux layout) must still decode: frame chunks carry the vids strl's

@@ -76,26 +76,6 @@ def test_flagship_substring_axis(substr_corpus, ray_session, tmp_path_factory):
     assert O.recall_against(truth, got) >= 0.99
 
 
-def test_flagship_substring_suffix_array_engine(substr_corpus, ray_session,
-                                                tmp_path_factory):
-    """cfg.substr_engine='suffix_array' must find the same planted
-    substring pairs through the full flagship as the winnow engine
-    (the operator-level parity is exact; the flagship adds the image
-    gate on top of either engine identically)."""
-    from mhray.pipelines.dedup import pairs_with_ids, run_dedup
-
-    planted = set(_planted_substring_pairs(substr_corpus))
-    cfg = PRESETS["captions"].with_(substr_pass=True, substr_min_length=40,
-                                    substr_window=8,
-                                    substr_engine="suffix_array")
-    out = str(tmp_path_factory.mktemp("sa_engine"))
-    res = run_dedup(substr_corpus["images"], out, cfg, num_parts=4)
-    found = {(p["lo_id"], p["hi_id"])
-             for p in pairs_with_ids(res, 4).take_all()}
-    recall = len(planted & found) / len(planted)
-    assert recall >= 0.95, f"suffix-array engine substring recall {recall}"
-
-
 def test_lcs_survives_astral_chars():
     """Regression: the collision check sliced the PYTHON string with
     UTF-16 unit offsets, so any astral (non-BMP) char before or inside
