@@ -22,17 +22,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-
-def parquet_num_rows(path: str) -> int:
-    """Total rows of a parquet file/dir from footer metadata only —
-    no Ray execution (Dataset.count() costs a full op launch)."""
-    import glob as _glob
-
-    if os.path.isdir(path):
-        files = sorted(_glob.glob(os.path.join(path, "*.parquet")))
-    else:
-        files = [path]
-    return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+from mhray.rayutil import read_parquet
 
 
 def config_digest(cfg) -> str:
@@ -108,7 +98,7 @@ def stage_checkpoint(name: str, out_dir: str, compute, cfg=None,
         if manifest.get("persisted", True) and (
                 digest is None
                 or manifest.get("config_digest") == digest):
-            return ray.data.read_parquet(data_dir)
+            return read_parquet(data_dir, split=False)
 
     t0 = time.time()
     ds = compute()
@@ -172,7 +162,7 @@ def stage_checkpoint(name: str, out_dir: str, compute, cfg=None,
         json.dump(manifest, f, indent=1)
     with open(marker, "w") as f:
         f.write("")
-    return ray.data.read_parquet(data_dir)
+    return read_parquet(data_dir, split=False)
 
 
 def stage_digest(out_dir: str, name: str) -> str | None:

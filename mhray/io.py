@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import ray.data
 
+from mhray.rayutil import exchange, parts_for, read_parquet
+
 try:
     import lance  # noqa: F401
 
@@ -21,7 +23,7 @@ except ImportError:
 def read_table(path: str, columns: list[str] | None = None) -> "ray.data.Dataset":
     if HAVE_LANCE and path.endswith(".lance"):
         return ray.data.read_lance(path, columns=columns)
-    return ray.data.read_parquet(path, columns=columns)
+    return read_parquet(path, columns=columns)
 
 
 def write_table(ds: "ray.data.Dataset", path: str) -> None:
@@ -197,7 +199,7 @@ def read_documents(path: str, fmt: str | None = None,
     elif fmt == "txt":
         ds = _read_txt(path, text_col, **reader_kwargs)
     else:
-        ds = ray.data.read_parquet(path, **reader_kwargs)
+        ds = read_parquet(path, **reader_kwargs)
 
     schema = ds.schema()
     names = getattr(schema, "names", schema)
@@ -229,9 +231,9 @@ def read_documents(path: str, fmt: str | None = None,
     # silently break exact dedup's min-id keeper rule downstream
     import numpy as np
 
-    from mhray.stages.candidates import _part_of, auto_parts
+    from mhray.stages.candidates import _part_of
 
-    parts = auto_parts(None)
+    parts = parts_for(out)
 
     def add_part(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column(id_col), np.int64)
@@ -248,10 +250,9 @@ def read_documents(path: str, fmt: str | None = None,
         return pa.table({id_col: part.column(id_col).take(keep),
                          text_col: part.column(text_col).take(keep)})
 
-    return out.map_batches(add_part, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("__part", num_partitions=parts) \
-        .map_groups(first_per_id, batch_format="pyarrow")
+    return exchange(out.map_batches(add_part, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                    "__part", parts, first_per_id)
 
 
 def write_documents(ds: "ray.data.Dataset", path: str,

@@ -29,6 +29,7 @@ import ray.data
 
 from mhray.checkpoint import input_fingerprint, stage_checkpoint, stage_digest
 from mhray.config import MhapConfig
+from mhray.rayutil import exchange, parquet_size, plan_parts, read_parquet
 from mhray.stages.candidates import (assign_reps, explode_phash_bands,
                                      minhash_candidates)
 from mhray.stages.cluster import assign_clusters, cluster_edges
@@ -38,15 +39,18 @@ from mhray.stages.verify import verify_candidates
 
 def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
               freq_ref=None, decode_pixels: bool = True,
-              num_parts: int = 32, resume: bool = True,
+              num_parts: int | None = None, resume: bool = True,
               persist: bool = True) -> dict:
-    """Run the full pipeline; returns dataset handles + output paths."""
+    """Run the full pipeline; returns dataset handles + output paths.
+    Every exchange uses ``num_parts`` partitions, by default
+    :func:`mhray.rayutil.plan_parts` over the image table's footers."""
+    num_parts = plan_parts(*parquet_size(images_path), requested=num_parts)
 
     # s1: sketches + exact-caption rep assignment -------------------------
     # The sketch table is materialized once: assign_reps reads it for
     # the per-caption minima, then attaches them to every row.
     def compute_sketches():
-        images = ray.data.read_parquet(images_path)
+        images = read_parquet(images_path)
         sk = sketch_dataset(images, cfg, freq_ref=freq_ref,
                             decode_pixels=decode_pixels).materialize()
         return assign_reps(sk, num_parts)
@@ -134,12 +138,9 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
         # pHash pairs reach the dedupe shuffle
         from mhray.stages.candidates import make_emit_phash_pairs
 
-        pp = bands.groupby("part", num_partitions=num_parts).map_groups(
-            make_emit_phash_pairs(cfg.band_group_cap,
-                                  cfg.phash_max_hamming, num_parts),
-            batch_format="pyarrow") \
-            .groupby("pair_part", num_partitions=num_parts).map_groups(
-                make_pair_min("hamming"), batch_format="pyarrow")
+        pp = exchange(bands, "part", num_parts, make_emit_phash_pairs(
+            cfg.band_group_cap, cfg.phash_max_hamming, num_parts))
+        pp = exchange(pp, "pair_part", num_parts, make_pair_min("hamming"))
 
         g_schema = pa.schema([("phash", pa.int64()), ("members", pa.binary())])
         pp_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64()),
@@ -239,7 +240,7 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
                 "text": batch.column("caption"),
             })
 
-        texts = ray.data.read_parquet(
+        texts = read_parquet(
             images_path, columns=["image_id", "caption"]
         ).map_batches(to_doc, batch_format="pyarrow", zero_copy_batch=True)
         sp = substring_pairs(texts, min_len=cfg.substr_min_length,
@@ -282,9 +283,8 @@ def run_dedup(images_path: str, out_dir: str, cfg: MhapConfig, *,
 
         merged = pairs_so_far.union(sub).map_batches(
             add_part, batch_format="pyarrow")
-        deduped = merged.groupby("pair_part", num_partitions=num_parts).map_groups(
-            make_pair_min("neg_score", payload_cols=("hamming", "score")),
-            batch_format="pyarrow")
+        deduped = exchange(merged, "pair_part", num_parts, make_pair_min(
+            "neg_score", payload_cols=("hamming", "score")))
         return deduped.drop_columns(["neg_score"])
 
     s3_schema = pa.schema([
@@ -353,7 +353,8 @@ def _write_run_summary(out_dir: str) -> None:
         json.dump(summary, f, indent=1)
 
 
-def pairs_with_ids(result: dict, num_parts: int = 16) -> "ray.data.Dataset":
+def pairs_with_ids(result: dict,
+                   num_parts: int | None = None) -> "ray.data.Dataset":
     """(lo, hi, ...) iid pairs -> (lo_id, hi_id, ...) string-id pairs."""
     from mhray.rayutil import attach_payload
 

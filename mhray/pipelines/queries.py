@@ -18,37 +18,25 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from mhray.config import PRESETS
+from mhray.rayutil import (HEAVY_PART_ROWS, PART_ROWS, exchange,
+                           parquet_size, plan_parts, read_parquet)
 
 
 def _read(sf_dir: str, table: str, columns=None,
-          rows_per_block: int = 5000) -> "ray.data.Dataset":
+          rows_per_part: int = PART_ROWS) -> "ray.data.Dataset":
     # columns= prunes the scan at the parquet reader — unread columns
-    # never leave storage. Block count sized to the row count (footer
-    # metadata, no execution): Ray's default splits small files into
-    # ~64 near-empty read tasks whose launch overhead dwarfs the scan.
-    # Compute-heavy consumers (sketching: ~1ms/row downstream) pass a
-    # SMALLER rows_per_block — block count caps their map parallelism,
-    # and for them the extra read-task launches are noise.
-    path = f"{sf_dir}/{table}.parquet"
-    from mhray.checkpoint import parquet_num_rows
-
-    rows = parquet_num_rows(path)
-    cpus = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    blocks = int(max(4, min(2 * cpus, rows // rows_per_block + 1)))
-    return ray.data.read_parquet(path, columns=columns,
-                                 override_num_blocks=blocks)
+    # never leave storage. Block count from the footers' rows and bytes
+    # (rayutil.plan_parts): a 200-row table is one block, one read
+    # task. Compute-heavy consumers (sketching: ~1ms/row downstream)
+    # pass HEAVY_PART_ROWS — block count caps their map parallelism.
+    return read_parquet(f"{sf_dir}/{table}.parquet", columns=columns,
+                        rows_per_part=rows_per_part)
 
 
-def _doc_parts(sf_dir: str) -> int:
-    """Shuffle partition count for documents-table operators, sized to
-    the table instead of the CPU count (32 sort partitions over 5000
-    rows is pure launch overhead)."""
-    from mhray.checkpoint import parquet_num_rows
-    from mhray.stages.candidates import auto_parts
-
-    rows = parquet_num_rows(f"{sf_dir}/documents.parquet")
-    return max(2, min(auto_parts(), rows // 2000 + 1))
+def _parts(sf_dir: str, table: str, columns=None) -> int:
+    """Exchange partition count for an operator over ``table``: the
+    sizing rule over its footers (no execution)."""
+    return plan_parts(*parquet_size(f"{sf_dir}/{table}.parquet", columns))
 
 
 def _cast_round(tbl: pa.Table, int_cols=(), scale_cols=None) -> pa.Table:
@@ -211,7 +199,7 @@ def d_exact_dedup(sf_dir: str):
     from mhray.stages.dedup import exact_dedup
 
     return exact_dedup(_read(sf_dir, "documents", ["doc_id", "text"]),
-                       num_parts=_doc_parts(sf_dir))
+                       num_parts=_parts(sf_dir, "documents"))
 
 
 def d_jaccard_pairs(sf_dir: str):
@@ -264,7 +252,8 @@ def d_minhash_pairs(sf_dir: str):
 
     cfg = PRESETS["captions"].with_(threshold=0.9)
     out = minhash_text_pairs(
-        _read(sf_dir, "documents", ["doc_id", "text"], rows_per_block=800),
+        _read(sf_dir, "documents", ["doc_id", "text"],
+              rows_per_part=HEAVY_PART_ROWS),
         cfg)
     return out.select_columns(["lo", "hi", "shared_slots"])
 
@@ -277,7 +266,8 @@ def d_simhash_pairs(sf_dir: str):
     from mhray.stages.dedup import simhash_pairs
 
     return simhash_pairs(
-        _read(sf_dir, "documents", ["doc_id", "text"], rows_per_block=800),
+        _read(sf_dir, "documents", ["doc_id", "text"],
+              rows_per_part=HEAVY_PART_ROWS),
         max_hamming=4)
 
 
@@ -320,7 +310,7 @@ def d_decontaminate(sf_dir: str):
     bench = docs.map_batches(_mod_filter(True), batch_format="pyarrow",
                              zero_copy_batch=True)
     return decontaminate(corpus, bench, n=3,
-                         num_parts=_doc_parts(sf_dir))
+                         num_parts=_parts(sf_dir, "documents"))
 
 
 def d_repetition(sf_dir: str):
@@ -348,7 +338,7 @@ def d_dedup_keep_best(sf_dir: str):
     scored = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         score, batch_format="pyarrow", zero_copy_batch=True)
     return dedup_keep_best(scored, "quality_pm",
-                           num_parts=_doc_parts(sf_dir))
+                           num_parts=_parts(sf_dir, "documents"))
 
 
 def d_top_terms(sf_dir: str):
@@ -357,16 +347,14 @@ def d_top_terms(sf_dir: str):
     from mhray.stages.text import top_terms
 
     return top_terms(_read(sf_dir, "documents", ["doc_id", "text"]),
-                     k=3, num_parts=_doc_parts(sf_dir))
+                     k=3, num_parts=_parts(sf_dir, "documents"))
 
 
 def _pack_parts(sf_dir: str) -> int:
     """Partition count for d_pack_sequences: table-derived and
     CPU-independent so the static SQL oracle can mirror it exactly at
     any scale factor (GREATEST(2, count // 2000 + 1) in SQL)."""
-    from mhray.checkpoint import parquet_num_rows
-
-    rows = parquet_num_rows(f"{sf_dir}/documents.parquet")
+    rows, _ = parquet_size(f"{sf_dir}/documents.parquet")
     return max(2, rows // 2000 + 1)
 
 
@@ -390,7 +378,8 @@ def d_tiered_dedup(sf_dir: str):
     from mhray.stages.dedup import tiered_dedup
 
     res = tiered_dedup(
-        _read(sf_dir, "documents", ["doc_id", "text"], rows_per_block=800))
+        _read(sf_dir, "documents", ["doc_id", "text"],
+              rows_per_part=HEAVY_PART_ROWS))
     kept = res["survivors"].map_batches(
         lambda b: pa.table({
             "doc_id": b.column("doc_id"),
@@ -677,7 +666,7 @@ def d_sketch_align(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     pairs = substring_pairs(docs, min_len=40)
     return sketch_align_pairs(docs, pairs, k=7, step=16, num_words=8,
-                              num_parts=_doc_parts(sf_dir))
+                              num_parts=_parts(sf_dir, "documents"))
 
 
 def d_incremental_pairs(sf_dir: str):
@@ -714,8 +703,8 @@ def d_incremental_pairs(sf_dir: str):
 
 def ev_sessionize(sf_dir: str):
     """Gap-based sessionization (30-min inactivity closes a session) —
-    the stateful per-key windowed operator, expressed as a per-user
-    map_groups with vectorized gap detection."""
+    the stateful per-key windowed operator, expressed as a user-hash
+    exchange with vectorized gap detection."""
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
     def sessions(group: pa.Table) -> pa.Table:
@@ -744,16 +733,18 @@ def ev_sessionize(sf_dir: str):
         return out.group_by(["user_id", "session_id"]).aggregate(
             [("n", "sum")]).rename_columns(["user_id", "session_id", "n_events"])
 
-    # partition by user hash so each group call sees whole users
-    from mhray.stages.candidates import _part_of, auto_parts
+    # partition by user hash so each call sees whole users
+    from mhray.stages.candidates import _part_of
+
+    num_parts = _parts(sf_dir, "events", ["user_id", "ts"])
 
     def add_part(batch: pa.Table) -> pa.Table:
         uid = np.asarray(batch.column("user_id"), dtype=np.int64)
-        return batch.append_column("upart",
-                                   pa.array(_part_of(uid, auto_parts()), pa.int32()))
+        return batch.append_column(
+            "upart", pa.array(_part_of(uid, num_parts), pa.int32()))
 
-    return ev.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("upart").map_groups(sessions, batch_format="pyarrow")
+    return exchange(ev.map_batches(add_part, batch_format="pyarrow"),
+                    "upart", num_parts, sessions)
 
 
 def ev_top_event_per_type(sf_dir: str):
@@ -915,7 +906,7 @@ def q_distinct_per_group(sf_dir: str):
 def ev_moving_avg(sf_dir: str):
     """Per-key ordered sliding-window aggregate (3-event moving average
     over each user's event stream) — the windowed-aggregate operator as
-    a user-hash-partitioned map_groups with vectorized shifts."""
+    a user-hash exchange with vectorized shifts."""
     ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "value"])
 
     def mov(group: pa.Table) -> pa.Table:
@@ -946,15 +937,18 @@ def ev_moving_avg(sf_dir: str):
                                 pa.int64()),
         })
 
-    from mhray.stages.candidates import _part_of, auto_parts
+    from mhray.stages.candidates import _part_of
+
+    num_parts = _parts(sf_dir, "events", ["user_id", "event_id", "ts",
+                                          "value"])
 
     def add_part(batch: pa.Table) -> pa.Table:
         uid = np.asarray(batch.column("user_id"), dtype=np.int64)
-        return batch.append_column("upart",
-                                   pa.array(_part_of(uid, auto_parts()), pa.int32()))
+        return batch.append_column(
+            "upart", pa.array(_part_of(uid, num_parts), pa.int32()))
 
-    return ev.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("upart").map_groups(mov, batch_format="pyarrow")
+    return exchange(ev.map_batches(add_part, batch_format="pyarrow"),
+                    "upart", num_parts, mov)
 
 
 def ev_asof_prev(sf_dir: str):
@@ -1238,7 +1232,7 @@ def d_dup_clusters(sf_dir: str):
     from mhray.stages.cluster import cluster_edges
 
     pairs = d_minhash_pairs(sf_dir)
-    out = cluster_edges(pairs, num_partitions=_doc_parts(sf_dir))
+    out = cluster_edges(pairs, num_partitions=_parts(sf_dir, "documents"))
 
     def rename(b: pa.Table) -> pa.Table:
         return pa.table({"doc_id": b.column("iid"),
@@ -1264,7 +1258,7 @@ def d_cluster_components(sf_dir: str):
 
     pairs = ngram_jaccard_pairs(
         _read(sf_dir, "documents", ["doc_id", "text"]), tau=0.8)
-    out = cluster_edges(pairs, num_partitions=_doc_parts(sf_dir),
+    out = cluster_edges(pairs, num_partitions=_parts(sf_dir, "documents"),
                         driver_threshold=0)
 
     def rename(b: pa.Table) -> pa.Table:
@@ -1311,7 +1305,7 @@ def d_curate(sf_dir: str):
 
     res = curate(_read(sf_dir, "documents", ["doc_id", "text"]),
                  min_quality_pm=2500, chunk_words=8, pack_budget=256,
-                 num_parts=_doc_parts(sf_dir))
+                 num_parts=_parts(sf_dir, "documents"))
     return res["packs"]
 
 
@@ -1455,7 +1449,7 @@ def d_dup_triangles(sf_dir: str):
 
     pairs = ngram_jaccard_pairs(
         _read(sf_dir, "documents", ["doc_id", "text"]), tau=0.8)
-    return triangle_counts(pairs, num_parts=_doc_parts(sf_dir))
+    return triangle_counts(pairs, num_parts=_parts(sf_dir, "documents"))
 
 
 def d_cluster_stats(sf_dir: str):
@@ -1474,7 +1468,7 @@ def d_cluster_stats(sf_dir: str):
     from mhray.stages.cluster import cluster_edges
     from mhray.stages.dedup import ngram_jaccard_pairs
 
-    num_parts = _doc_parts(sf_dir)
+    num_parts = _parts(sf_dir, "documents")
     pairs = ngram_jaccard_pairs(
         _read(sf_dir, "documents", ["doc_id", "text"]),
         tau=0.8).materialize()  # consumed twice: clustering + tagging
@@ -1724,7 +1718,7 @@ def d_ngram_topk(sf_dir: str):
     from mhray.stages.text import ngram_topk
 
     return ngram_topk(_read(sf_dir, "documents", ["text"]), k=20, n=2,
-                      num_parts=_doc_parts(sf_dir))
+                      num_parts=_parts(sf_dir, "documents"))
 
 
 def d_quality_buckets(sf_dir: str):
@@ -1749,7 +1743,7 @@ def d_chunk_dedup(sf_dir: str):
     from mhray.stages.dedup import chunk_dedup
 
     return chunk_dedup(_read(sf_dir, "documents", ["doc_id", "text"]),
-                       chunk_words=8, num_parts=_doc_parts(sf_dir))
+                       chunk_words=8, num_parts=_parts(sf_dir, "documents"))
 
 
 def d_containment_pairs(sf_dir: str):
@@ -1762,7 +1756,7 @@ def d_containment_pairs(sf_dir: str):
 
     return shingle_containment_pairs(
         _read(sf_dir, "documents", ["doc_id", "text"]),
-        tau_bp=8000, shingle_words=4, num_parts=_doc_parts(sf_dir))
+        tau_bp=8000, shingle_words=4, num_parts=_parts(sf_dir, "documents"))
 
 
 def ev_retention(sf_dir: str):
@@ -1838,11 +1832,10 @@ def ev_user_mode(sf_dir: str):
     partials below ONE user-hash shuffle, partition-local vectorized
     argmax."""
     from mhray.rayutil import grouped_mode
-    from mhray.stages.candidates import auto_parts
 
-    ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    return grouped_mode(ev, "user_id", "event_type",
-                        max(2, min(auto_parts(), 8)),
+    cols = ["user_id", "event_type"]
+    return grouped_mode(_read(sf_dir, "events", cols), "user_id",
+                        "event_type", _parts(sf_dir, "events", cols),
                         "user_id", "mode_type", "n_events")
 
 
@@ -1857,6 +1850,7 @@ def ev_mad(sf_dir: str):
     from mhray.stages.candidates import _part_of
 
     ev = _read(sf_dir, "events", ["event_type", "value"])
+    num_parts = _parts(sf_dir, "events", ["event_type", "value"])
 
     def add_part(batch: pa.Table) -> pa.Table:
         from mhray.kernels import hash_strings64
@@ -1865,7 +1859,7 @@ def ev_mad(sf_dir: str):
         h = hash_strings64(typ.combine_chunks()
                            if isinstance(typ, pa.ChunkedArray) else typ)
         return pa.table({
-            "__part": pa.array(_part_of(h, 8), pa.int32()),
+            "__part": pa.array(_part_of(h, num_parts), pa.int32()),
             "event_type": typ,
             "value": batch.column("value").cast(pa.float64()),
         })
@@ -1886,10 +1880,9 @@ def ev_mad(sf_dir: str):
             "mad_sc": pa.array(_round_half_away(madv * 10000), pa.int64()),
         })
 
-    return ev.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=8) \
-        .map_groups(mad, batch_format="pyarrow")
+    return exchange(ev.map_batches(add_part, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, mad)
 
 
 def d_novelty(sf_dir: str):
@@ -1901,7 +1894,8 @@ def d_novelty(sf_dir: str):
     from mhray.stages.dedup import ngram_novelty
 
     return ngram_novelty(_read(sf_dir, "documents", ["doc_id", "text"]),
-                         shingle_words=4, num_parts=_doc_parts(sf_dir))
+                         shingle_words=4,
+                         num_parts=_parts(sf_dir, "documents"))
 
 
 def ev_bursts(sf_dir: str):
@@ -1929,17 +1923,17 @@ def d_dup_by_source(sf_dir: str):
 
     return dup_rate_by_source(
         _read(sf_dir, "documents", ["doc_id", "text", "source"]),
-        num_parts=_doc_parts(sf_dir))
+        num_parts=_parts(sf_dir, "documents"))
 
 
 def ev_dau(sf_dir: str):
     """Daily active users: distinct users per UTC day — batch-local
     (day, user) dedup shrinks the stream, one partition-wise re-dedup,
     tiny grouped count. Integer-exact day math."""
-    from mhray.stages.candidates import _part_of, auto_parts
+    from mhray.stages.candidates import _part_of
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
-    num_parts = max(2, min(auto_parts(), 8))
+    num_parts = _parts(sf_dir, "events", ["user_id", "ts"])
     US_DAY = 86_400_000_000
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -1968,10 +1962,9 @@ def ev_dau(sf_dir: str):
             "dau": pa.array(cnt.astype(np.int64), pa.int64()),
         })
 
-    return ev.map_batches(pairs, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(count_day, batch_format="pyarrow")
+    return exchange(ev.map_batches(pairs, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, count_day)
 
 
 def ev_running_total(sf_dir: str):
@@ -1980,10 +1973,11 @@ def ev_running_total(sf_dir: str):
     so the accumulation is integer-exact and engine-independent —
     no float summation-order caveat at all. One user-hash partition,
     vectorized segmented cumsum."""
-    from mhray.stages.candidates import _part_of, auto_parts
+    from mhray.stages.candidates import _part_of
 
-    ev = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
-    num_parts = max(2, min(auto_parts(), 8))
+    cols = ["user_id", "ts", "event_id", "value"]
+    ev = _read(sf_dir, "events", cols)
+    num_parts = _parts(sf_dir, "events", cols)
 
     def add_part(batch: pa.Table) -> pa.Table:
         u = np.asarray(batch.column("user_id"), dtype=np.int64)
@@ -2020,10 +2014,9 @@ def ev_running_total(sf_dir: str):
             "running_cents": pa.array(run, pa.int64()),
         })
 
-    return ev.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(running, batch_format="pyarrow")
+    return exchange(ev.map_batches(add_part, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, running)
 
 
 def e_knn_graph(sf_dir: str):

@@ -1,30 +1,162 @@
-"""Ray Data keyed-lookup utilities: every join in mhray is one of these.
+"""Ray Data exchange, sizing and keyed-lookup utilities.
 
+- :func:`exchange` is mhray's one shuffle: rows carrying a partition id
+  ``part`` in ``[0, num_parts)`` are sorted on explicit boundaries, so
+  partition ``i`` holds exactly the rows with ``part == i`` (no
+  sampling pass), and ``fn`` runs once per non-empty partition.
+  Ray's ``groupby(..., num_partitions=)`` is not used: under the
+  default sort shuffle it ignores ``num_partitions`` and makes one
+  partition per input block.
+- :func:`plan_parts` is the one sizing rule for read block counts and
+  exchange partition counts. It works from rows and bytes the code
+  already has (parquet footers via :func:`read_parquet` and
+  :func:`parquet_size`, materialized block metadata via
+  :func:`parts_for`) and the cluster's CPU count: a small input gets
+  one partition and never more than one per CPU; only its bytes take
+  it past the CPU count. A caller's explicit count always wins.
 - :func:`attach_payload` (and :func:`prepared_attacher` /
   :func:`attach_payload_both` for one side read by several keys) is the
   key -> payload lookup: a side with unique keys is broadcast once
   (``ray.put``, searchsorted per batch) below a row/byte threshold and
-  met in ONE sort shuffle above it. Keys are one int64 column or a pair
-  of them.
+  met in ONE exchange above it. Keys are one int64 column or a pair of
+  them.
 - :func:`anti_join_ids` / :func:`semi_join_ids` keep or drop rows by
-  key membership, with the same broadcast-or-shuffle choice.
-- Many-to-many joins (triangle wedges, rep -> member expansion) are a
-  ``groupby(...).map_groups`` emitter in the stage that needs them.
+  key membership, with the same broadcast-or-exchange choice.
 - :func:`grouped_mode` and :func:`top_counts` are the two keyed
-  reductions: per-batch partial counts below ONE key-hash shuffle and
-  a partition-local reduce, never a global sort.
+  reductions: per-batch partial counts below ONE exchange and a
+  partition-local reduce, never a global sort.
 
 None of them uses Ray's join operator, whose hash-shuffle aggregator
 pools dominated at the pair counts these stages see, and which could
-not execute a zero-row side. Ray's sort-based groupby emits
-schema-less EMPTY blocks for empty partitions and ``map_batches`` skips
-zero-row blocks, so every UDF here reads columns only from non-empty
-batches.
+not execute a zero-row side. An exchange partition with no rows is a
+schema-less empty block that ``fn`` never sees, so every ``fn`` reads
+columns only from non-empty tables, and a ``fn`` may get many keys
+(and, if the ids were hashed to a wider range, many ``part`` values)
+in one call.
 """
 
 from __future__ import annotations
 
+import math
+import os
+
 import pyarrow as pa
+
+# the sizing rule's constants: a partition is worth its own task from
+# PART_ROWS rows or _PART_BYTES bytes on (HEAVY_PART_ROWS rows for
+# consumers that spend about a millisecond per row), and none grows
+# past _MAX_PART_BYTES
+PART_ROWS = 2_000
+HEAVY_PART_ROWS = 800
+_PART_BYTES = 1 << 20
+_MAX_PART_BYTES = 128 << 20
+
+
+def _cluster_cpus() -> int:
+    """CPUs of the running Ray cluster (of this host before Ray
+    starts; mhray never starts Ray itself)."""
+    import ray
+
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
+
+
+def plan_parts(rows: int, nbytes: int, requested: int | None = None,
+               cpus: int | None = None,
+               rows_per_part: int = PART_ROWS) -> int:
+    """Block or partition count for ``rows`` rows of ``nbytes`` bytes:
+    one per ``rows_per_part`` rows or per MiB, whichever asks for more,
+    at most one per CPU, but at least one per 128 MiB, so only bytes
+    take it past the CPU count; never below 1. ``requested`` (a
+    caller's explicit count) wins. Compute-heavy consumers pass a
+    smaller ``rows_per_part``."""
+    if requested is not None:
+        return requested
+    cpus = _cluster_cpus() if cpus is None else cpus
+    want = max(math.ceil(rows / rows_per_part),
+               math.ceil(nbytes / _PART_BYTES))
+    return max(1, min(cpus, want), math.ceil(nbytes / _MAX_PART_BYTES))
+
+
+def parts_for(ds, requested: int | None = None,
+              rows_per_part: int = PART_ROWS) -> int:
+    """:func:`plan_parts` for a Dataset: rows and bytes from a
+    materialized dataset's block metadata (no execution); a lazy one
+    is unsized and gets one partition per CPU."""
+    from ray.data.dataset import MaterializedDataset
+
+    if requested is not None:
+        return requested
+    if isinstance(ds, MaterializedDataset):
+        return plan_parts(ds.count(), ds.size_bytes(),
+                          rows_per_part=rows_per_part)
+    return _cluster_cpus()
+
+
+def _parquet_files(path: str) -> list[str]:
+    """The parquet files of a file or directory path."""
+    import pyarrow.dataset as pads
+
+    return pads.dataset(path, format="parquet").files
+
+
+def parquet_size(path: str, columns=None) -> tuple[int, int]:
+    """(rows, uncompressed bytes of ``columns``, default all) of a
+    parquet file or directory, from its footers only."""
+    import pyarrow.parquet as pq
+
+    rows = nbytes = 0
+    for f in _parquet_files(path):
+        md = pq.ParquetFile(f).metadata
+        rows += md.num_rows
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            nbytes += sum(
+                rg.column(c).total_uncompressed_size
+                for c in range(rg.num_columns)
+                if columns is None
+                or rg.column(c).path_in_schema.split(".")[0] in columns)
+    return rows, nbytes
+
+
+def read_parquet(path: str, columns=None, rows_per_part: int = PART_ROWS,
+                 split: bool = True, **kwargs):
+    """``ray.data.read_parquet`` with its block count from
+    :func:`plan_parts` over the footers. ``split=False`` keeps to at
+    most one block per file unless the bytes require more: Ray splits
+    the blocks of a read that asks for more blocks than there are
+    files, and then cannot fuse the read with the map after it."""
+    import ray.data
+
+    rows, nbytes = parquet_size(path, columns)
+    blocks = plan_parts(rows, nbytes, rows_per_part=rows_per_part)
+    if not split:
+        blocks = max(min(blocks, len(_parquet_files(path))),
+                     math.ceil(nbytes / _MAX_PART_BYTES))
+    kwargs.setdefault("override_num_blocks", blocks)
+    return ray.data.read_parquet(path, columns=columns, **kwargs)
+
+
+def _boundaries(num_parts: int) -> list[int]:
+    """Sort boundaries that give partition ``i`` exactly ``part == i``."""
+    return list(range(1, num_parts))
+
+
+def exchange(ds, part_col: str, num_parts: int, fn):
+    """Move every row to the partition its ``part_col`` names
+    (``[0, num_parts)``; larger ids land in the last partition) and
+    run ``fn(table) -> table`` once per non-empty partition.
+
+    Explicit sort boundaries: no sampling pass, and each reducer writes
+    one block, which ``map_batches(batch_size=None)`` hands to ``fn``
+    whole. One partition coalesces the input into one block instead,
+    because ``sort`` with no boundaries would sample them."""
+    if num_parts <= 1:
+        ds = ds.repartition(1)
+    else:
+        ds = ds.sort(part_col, boundaries=_boundaries(num_parts))
+    return ds.map_batches(fn, batch_size=None, batch_format="pyarrow")
 
 
 def binary_flat_view(col, item_bytes: int, dtype: str):
@@ -206,7 +338,7 @@ def _attach_broadcast(pairs_ds, key_col, side_ds, side_key, payload_cols,
 
 
 def anti_join_ids(ds, ids_ds, key_col: str, ids_key: str | None = None,
-                  num_parts: int = 16,
+                  num_parts: int | None = None,
                   broadcast_threshold_rows: int = 2_000_000,
                   ds_schema: pa.Schema | None = None,
                   keep_matches: bool = False):
@@ -215,7 +347,8 @@ def anti_join_ids(ds, ids_ds, key_col: str, ids_key: str | None = None,
     the SEMI-join: keep only matching rows). Small id sets broadcast
     (one ``ray.put``, searchsorted per batch, NO shuffle); above the
     threshold the standard tagged-union + hash-partition merge runs
-    (one shuffle, no driver materialization)."""
+    (one exchange, no driver materialization) over ``num_parts``
+    partitions, default :func:`parts_for` ``ids_ds``."""
     import numpy as np
 
     ids_key = ids_key or key_col
@@ -258,6 +391,7 @@ def anti_join_ids(ds, ids_ds, key_col: str, ids_key: str | None = None,
 
     schema = ds_schema if ds_schema is not None else _schema(ds)
     names = schema.names
+    num_parts = parts_for(ids_ds, num_parts)
 
     def tag_left(batch: pa.Table) -> pa.Table:
         from mhray.stages.candidates import _part_of
@@ -300,12 +434,11 @@ def anti_join_ids(ds, ids_ds, key_col: str, ids_key: str | None = None,
         idx = pa.array(keep, pa.int64())
         return pa.table({n: part.column(n).take(idx) for n in names})
 
-    return tagged.groupby("__part", num_partitions=num_parts).map_groups(
-        merge, batch_format="pyarrow")
+    return exchange(tagged, "__part", num_parts, merge)
 
 
 def semi_join_ids(ds, ids_ds, key_col: str, ids_key: str | None = None,
-                  num_parts: int = 16,
+                  num_parts: int | None = None,
                   broadcast_threshold_rows: int = 2_000_000,
                   ds_schema: pa.Schema | None = None):
     """Keep only rows of ``ds`` whose ``key_col`` appears in ``ids_ds``
@@ -318,15 +451,16 @@ def semi_join_ids(ds, ids_ds, key_col: str, ids_key: str | None = None,
 
 def attach_payload(pairs_ds, key_col, side_ds, side_key,
                    payload_cols: tuple, out_suffix: str,
-                   num_parts: int = 16, how: str = "inner",
+                   num_parts: int | None = None, how: str = "inner",
                    pairs_schema: pa.Schema | None = None,
                    side_schema: pa.Schema | None = None,
                    broadcast_threshold_rows: int = 1_500_000):
     """Key -> payload lookup for a pair table: ``side_ds`` (UNIQUE
     keys) is broadcast once below the row/byte threshold
-    (:func:`_broadcast_fits`), else met in ONE sort shuffle (union +
-    groupby part + partition-local searchsorted merge) — never a
-    join-operator actor pool.
+    (:func:`_broadcast_fits`), else met in ONE :func:`exchange` (union
+    + partition-local searchsorted merge, over
+    ``num_parts`` partitions, default :func:`parts_for` the side) —
+    never a join-operator actor pool.
 
     ``key_col`` / ``side_key`` name one int64 column or a tuple of two
     (a composite key: the shuffle partitions on the first column and
@@ -355,6 +489,7 @@ def attach_payload(pairs_ds, key_col, side_ds, side_key,
                                  pair_names, payload_types)
 
     knames = [f"__k{i}" for i in range(len(_key_names(key_col)))]
+    num_parts = parts_for(side_ds, num_parts)
 
     def tag(batch: pa.Table, key, role: int) -> dict:
         from mhray.stages.candidates import _part_of
@@ -424,12 +559,11 @@ def attach_payload(pairs_ds, key_col, side_ds, side_key,
             out[f"{c}_{out_suffix}"] = col
         return pa.table(out)
 
-    return tagged.groupby("__part", num_partitions=num_parts).map_groups(
-        merge, batch_format="pyarrow")
+    return exchange(tagged, "__part", num_parts, merge)
 
 
 def prepared_attacher(side_ds, side_key: str, payload_cols: tuple,
-                      num_parts: int = 16,
+                      num_parts: int | None = None,
                       side_schema: pa.Schema | None = None,
                       broadcast_threshold_rows: int = 1_500_000):
     """Factory owning the broadcast-vs-shuffle attach policy for a side
@@ -468,7 +602,7 @@ def prepared_attacher(side_ds, side_key: str, payload_cols: tuple,
 
 def attach_payload_both(pairs_ds, side_ds, side_key: str,
                         payload_cols: tuple,
-                        num_parts: int = 16,
+                        num_parts: int | None = None,
                         pairs_schema: pa.Schema | None = None,
                         side_schema: pa.Schema | None = None,
                         keys=(("lo", "lo"), ("hi", "hi")),
@@ -554,10 +688,9 @@ def grouped_mode(ds, key_col: str, val_col: str, num_parts: int,
             out_n: pa.array(n[sel], pa.int64()),
         })
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(mode, batch_format="pyarrow")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, mode)
 
 
 def top_counts(ds, key_col: str, k: int, num_parts: int):
@@ -603,10 +736,9 @@ def top_counts(ds, key_col: str, k: int, num_parts: int):
 
     # materialized first: to_arrow_refs() on a lazy dataset probes its
     # schema with an extra limit=1 execution
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(local_top, batch_format="pyarrow").materialize()
+    parts = exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                     "__part", num_parts, local_top).materialize()
     tables = [t for t in ray.get(parts.to_arrow_refs())
               if "key" in t.schema.names]
     if not tables:

@@ -18,6 +18,14 @@ import os
 import time
 
 
+def _out_parts(ds, requested) -> int:
+    """Output file count: the sizing rule's count for ``ds`` (or the
+    requested one), at most 16."""
+    from mhray.rayutil import parts_for
+
+    return max(1, min(16, parts_for(ds, requested)))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="mhray.run")
     ap.add_argument("--input", required=True, help="images table (parquet dir)")
@@ -26,7 +34,9 @@ def main(argv=None) -> int:
 
     ap.add_argument("--preset", default="captions",
                     choices=sorted(PRESETS))
-    ap.add_argument("--num-parts", type=int, default=32)
+    ap.add_argument("--num-parts", type=int, default=None,
+                    help="exchange partitions (default: sized from the "
+                         "input's rows and bytes)")
     ap.add_argument("--threshold", type=float, default=None)
     ap.add_argument("--no-decode", action="store_true",
                     help="trust the phash column instead of decoding pixels")
@@ -81,10 +91,9 @@ def main(argv=None) -> int:
         freq_ref = ray.put(pq.read_table(args.freq_table))
 
     if args.report:
-        import ray.data  # noqa: F401
-
         from mhray.io import read_documents
         from mhray.pipelines.report import corpus_report
+        from mhray.rayutil import read_parquet
 
         t0 = time.time()
         # read the raw table first (any format), keeping every column —
@@ -103,7 +112,7 @@ def main(argv=None) -> int:
         elif fmt == "lance":
             docs = ray.data.read_lance(args.input)
         else:
-            docs = ray.data.read_parquet(args.input)
+            docs = read_parquet(args.input)
         schema = docs.schema()
         names = getattr(schema, "names", schema)
         if "doc_id" not in names or "text" not in names:
@@ -115,10 +124,10 @@ def main(argv=None) -> int:
             docs = read_documents(args.input)
         res = corpus_report(docs, num_parts=args.num_parts)
         os.makedirs(args.out, exist_ok=True)
-        parts = max(1, min(args.num_parts, 16))
         for key in ("doc_scores", "novelty", "dup_by_source"):
             if key in res:
-                res[key].repartition(parts).write_parquet(
+                res[key].repartition(_out_parts(res[key], args.num_parts)) \
+                    .write_parquet(
                     os.path.join(args.out, key))
         with open(os.path.join(args.out, "report.json"), "w") as f:
             json.dump(res["summary"], f, indent=2)
@@ -142,12 +151,11 @@ def main(argv=None) -> int:
                      pack_budget=args.pack_budget,
                      num_parts=args.num_parts)
         os.makedirs(args.out, exist_ok=True)
-        parts = max(1, min(args.num_parts, 16))
-        res["documents"].repartition(parts).write_parquet(
-            os.path.join(args.out, "curated_documents"))
-        if "packs" in res:
-            res["packs"].repartition(parts).write_parquet(
-                os.path.join(args.out, "packs"))
+        for key, name in (("documents", "curated_documents"),
+                          ("packs", "packs")):
+            if key in res:
+                res[key].repartition(_out_parts(res[key], args.num_parts)) \
+                    .write_parquet(os.path.join(args.out, name))
         with open(os.path.join(args.out, "curate_stats.json"), "w") as f:
             json.dump(res["stats"], f, indent=2)
         print(json.dumps({
@@ -162,8 +170,7 @@ def main(argv=None) -> int:
     if args.query_input:
         import shutil
 
-        import ray.data
-
+        from mhray.rayutil import read_parquet
         from mhray.stages.incremental import find_matches
 
         index_dir = os.path.join(args.out, "s1_sketches")
@@ -171,7 +178,7 @@ def main(argv=None) -> int:
             raise SystemExit(f"no stored sketch index at {index_dir} — "
                              "run the flagship on the corpus first")
         t0 = time.time()
-        query_ds = ray.data.read_parquet(args.query_input)
+        query_ds = read_parquet(args.query_input)
         out = find_matches(query_ds, index_dir, cfg,
                            num_parts=args.num_parts, freq_ref=freq_ref,
                            decode_pixels=not args.no_decode)
@@ -179,7 +186,7 @@ def main(argv=None) -> int:
         if os.path.exists(pairs_path):
             shutil.rmtree(pairs_path)
         out = out.materialize()
-        out.repartition(max(1, min(args.num_parts, 16))) \
+        out.repartition(_out_parts(out, args.num_parts)) \
             .write_parquet(pairs_path)
         print(json.dumps({
             "mode": "query-vs-index",
@@ -198,8 +205,9 @@ def main(argv=None) -> int:
         import shutil
 
         shutil.rmtree(pairs_path)
-    pairs_with_ids(res, args.num_parts).repartition(
-        max(1, min(args.num_parts, 16))).write_parquet(pairs_path)
+    ids = pairs_with_ids(res, args.num_parts)
+    ids.repartition(_out_parts(res["pairs"], args.num_parts)) \
+        .write_parquet(pairs_path)
     n_pairs = res["pairs"].count()
     n_rows = res["clusters"].count()
 

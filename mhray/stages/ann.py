@@ -352,7 +352,7 @@ def semdedup(ds, n_clusters: int = 16, tau: float = 0.95, iters: int = 3,
     row. Recall is bounded by the cluster partition (cross-cluster
     near-dups survive), exactly as published.
     """
-    from mhray.stages.candidates import auto_parts
+    from mhray.rayutil import exchange, parts_for
 
     def norm_rows(batch: pa.Table) -> pa.Table:
         m = _normalize(_embedding_matrix(batch, emb_col))
@@ -414,11 +414,10 @@ def semdedup(ds, n_clusters: int = 16, tau: float = 0.95, iters: int = 3,
             "keep": pa.array(keep),
         })
 
-    num_parts = min(n_clusters, auto_parts(num_parts))
-    return nds.map_batches(assign_pack, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("cluster", num_partitions=num_parts) \
-        .map_groups(prune, batch_format="pyarrow")
+    num_parts = min(n_clusters, parts_for(ds, num_parts))
+    return exchange(nds.map_batches(assign_pack, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                    "cluster", num_parts, prune)
 
 
 def _hyperplanes(dim: int, n_bits: int, seed: int = 7) -> np.ndarray:
@@ -496,7 +495,8 @@ def ivf_knn(ds, query_ids: list[int], k: int = 5, n_cells: int = 16,
 def embedding_dup_pairs(ds, tau: float = 0.99, n_bits: int = 10,
                         n_tables: int = 4,
                         id_col: str = "vec_id", emb_col: str = "embedding",
-                        num_parts: int = 8, group_cap: int = 5000):
+                        num_parts: int | None = None,
+                        group_cap: int = 5000):
     """(lo, hi) pairs with cosine >= tau; candidates = same bucket in
     ANY of ``n_tables`` independent sign-LSH tables (multi-table
     probing: per-table hit prob p = (1 - theta/pi)^n_bits, union
@@ -506,14 +506,17 @@ def embedding_dup_pairs(ds, tau: float = 0.99, n_bits: int = 10,
     Exact rescoring happens IN-BUCKET: the normalized float64 vector
     rides the band shuffle as a fixed_size_binary blob, so both members
     of every candidate pair are already co-located in the bucket
-    map_groups and the cosine is computed there — the corpus is never
+    partition and the cosine is computed there — the corpus is never
     materialized on the driver and no second vector shuffle is needed.
     Pairs found in several tables are deduplicated by a pair-keyed
     hash partition. Groups over ``group_cap`` keep the cap smallest
     ids (deterministic) and log the drop.
     """
     from mhray.kernels import pair_run_starts
+    from mhray.rayutil import exchange, parts_for
     from mhray.stages.candidates import _pair_part, _part_of
+
+    num_parts = parts_for(ds, num_parts)
 
     def to_parts(batch: pa.Table) -> pa.Table:
         m = _normalize(_embedding_matrix(batch, emb_col))
@@ -588,12 +591,10 @@ def embedding_dup_pairs(ds, tau: float = 0.99, n_bits: int = 10,
             "hi": pa.array(hi_s[first], pa.int64()),
         })
 
-    return ds.map_batches(to_parts, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(rescore_buckets, batch_format="pyarrow") \
-        .groupby("pair_part", num_partitions=num_parts) \
-        .map_groups(dedupe, batch_format="pyarrow")
+    buckets = exchange(ds.map_batches(to_parts, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                       "part", num_parts, rescore_buckets)
+    return exchange(buckets, "pair_part", num_parts, dedupe)
 
 
 def pca_project(ds, out_dim: int, id_col: str = "vec_id",
@@ -908,7 +909,7 @@ def label_centroid_dist(ds, id_col: str = "vec_id",
 def knn_label_agreement(ds, k: int = 5, id_col: str = "vec_id",
                         emb_col: str = "embedding",
                         label_col: str = "label",
-                        num_parts: int = 8,
+                        num_parts: int | None = None,
                         exact: bool = False):
     """(vec_id, label, voted_label, votes, agree): majority label among
     the k nearest cosine neighbors (knn_graph's exact ranks), ties to
@@ -918,7 +919,7 @@ def knn_label_agreement(ds, k: int = 5, id_col: str = "vec_id",
     narrow label attach and a partition-local vectorized vote —
     the ev_user_mode shuffle shape.
     """
-    from mhray.rayutil import grouped_mode, prepared_attacher
+    from mhray.rayutil import grouped_mode, parts_for, prepared_attacher
 
     g = knn_graph(ds, k=k, id_col=id_col, emb_col=emb_col, exact=exact)
     labels_side = ds.select_columns([id_col, label_col]).map_batches(
@@ -926,6 +927,7 @@ def knn_label_agreement(ds, k: int = 5, id_col: str = "vec_id",
             id_col: b.column(id_col).cast(pa.int64()),
             "label": b.column(label_col).cast(pa.int64())}),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
+    num_parts = parts_for(labels_side, num_parts)
 
     # the labels side feeds TWO different pair tables (neighbor labels
     # before the vote, own labels after): prepared_attacher shares one

@@ -47,16 +47,6 @@ from mhray.config import MhapConfig
 INT32_MIN = np.iinfo(np.int32).min
 
 
-def auto_parts(requested=None):
-    """Shuffle partition count: the caller's, else one per cluster CPU
-    (at least 2)."""
-    if requested is not None:
-        return requested
-    import ray
-
-    return max(2, int(ray.cluster_resources().get("CPU", 4)))
-
-
 # ---------------------------------------------------------------------------
 # explode
 # ---------------------------------------------------------------------------
@@ -175,7 +165,7 @@ def unpack_entries(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray]:
 
 def make_emit_pairs_packed(cap: int, num_parts: int | None = None,
                            cross: bool = False):
-    """map_groups(part) fn for the packed explode: unpack the entry
+    """:func:`mhray.rayutil.exchange` fn for the packed explode: unpack the entry
     blobs, emit pairs within every key group (``cross=False``, the
     self-join) or role-0 x role-1 pairs of every key present on both
     sides (``cross=True``), and total them partition-locally."""
@@ -289,7 +279,7 @@ def _cross_pairs(qkeys: np.ndarray, qiids: np.ndarray,
 # rep -> member expansion
 # ---------------------------------------------------------------------------
 
-def assign_reps(sk, num_parts: int):
+def assign_reps(sk, num_parts: int | None = None):
     """Sketch rows + ``rep_iid``: the smallest iid among the rows with
     the same ``caption_hash`` (identical captions have identical
     sketches, so only reps need to enter the LSH exchange).
@@ -299,7 +289,9 @@ def assign_reps(sk, num_parts: int):
     :func:`mhray.rayutil.attach_payload`, whose policy broadcasts it or
     shuffles it with ``sk`` by its size. Pass a materialized ``sk``: it
     is read twice."""
-    from mhray.rayutil import attach_payload
+    from mhray.rayutil import attach_payload, exchange, parts_for
+
+    num_parts = parts_for(sk, num_parts)
 
     def min_rep(batch: pa.Table) -> pa.Table:
         """(caption_hash, rep) rows -> the smallest rep per caption,
@@ -315,27 +307,31 @@ def assign_reps(sk, num_parts: int):
                          "caption_hash": pa.array(ch, pa.int64()),
                          "rep": pa.array(rep, pa.int64())})
 
-    reps = sk.select_columns(["caption_hash", "iid"]) \
+    partials = sk.select_columns(["caption_hash", "iid"]) \
         .rename_columns({"iid": "rep"}) \
-        .map_batches(min_rep, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(min_rep, batch_format="pyarrow").materialize()
+        .map_batches(min_rep, batch_format="pyarrow", zero_copy_batch=True)
+    reps = exchange(partials, "__part", num_parts, min_rep).materialize()
     return attach_payload(
         sk, "caption_hash", reps, "caption_hash", ("rep",), "iid",
         num_parts, side_schema=pa.schema([("caption_hash", pa.int64()),
                                           ("rep", pa.int64())]))
 
 
-def pack_members(ds, key_col: str, member_cols: tuple, num_parts: int):
+def pack_members(ds, key_col: str, member_cols: tuple,
+                 num_parts: int | None = None):
     """One row per distinct ``key_col`` value: ``(key_col, members)``,
     where ``members`` packs that key's rows, sorted by ``member_cols``,
     as interleaved little-endian int64 (8 B per member column) — one
-    shuffle on the key, and lazy: materialize before attaching it.
+    exchange on the key (default :func:`mhray.rayutil.parts_for`
+    ``ds``), and lazy: materialize before attaching it.
 
     The rep -> member expansion: attach these blobs to rep pairs with
     :func:`mhray.rayutil.attach_payload`, read them with
     :func:`members_view` and expand them with :func:`cross_members`."""
+    from mhray.rayutil import exchange, parts_for
+
     width = len(member_cols)
+    num_parts = parts_for(ds, num_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
         k = np.asarray(batch.column(key_col), dtype=np.int64)
@@ -365,10 +361,9 @@ def pack_members(ds, key_col: str, member_cols: tuple, num_parts: int):
         return pa.table({key_col: pa.array(k_s[starts], pa.int64()),
                          "members": members})
 
-    return ds.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(pack, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_part, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, pack)
 
 
 def members_view(col, width: int):
@@ -428,8 +423,8 @@ def aggregate_pair_partials(lo: np.ndarray, hi: np.ndarray,
 
 def make_emit_pairs(cap: int, payload_cols: tuple = (),
                     num_parts: int | None = None):
-    """map_groups(part) fn: pairs within every key group of the
-    partition, with per-pair partial counts (combiner before shuffle #2).
+    """:func:`mhray.rayutil.exchange` fn: pairs within every key group
+    of the partition, with per-pair partial counts (combiner before shuffle #2).
     Each named int64 ``payload_cols`` column rides along as
     <name>_lo / <name>_hi on every pair."""
 
@@ -455,7 +450,7 @@ def make_emit_pairs(cap: int, payload_cols: tuple = (),
 
 
 def make_emit_phash_pairs(cap: int, max_hamming: int, num_parts: int):
-    """map_groups(part) fn for DISTINCT-pHash band buckets (equal
+    """:func:`mhray.rayutil.exchange` fn for DISTINCT-pHash band buckets (equal
     pHashes pair upstream): emit intra-group (lo, hi) pairs and apply
     the Hamming gate IN the same call —
     random band collisions (the quadratic term at scale) die before
@@ -498,7 +493,7 @@ def make_emit_phash_pairs(cap: int, max_hamming: int, num_parts: int):
 
 
 def make_count_gate(min_matches: int):
-    """groupby(pair_part).map_groups fn: total the per-partition partial
+    """``pair_part`` exchange fn: total the per-partition partial
     counts of each (lo, hi) pair and gate on min_matches — the
     HitCounter threshold (MinHashSearch.java:204) without a slow
     multi-key sort shuffle."""
@@ -532,7 +527,7 @@ def make_count_gate(min_matches: int):
 
 
 def make_pair_min(value_col: str, payload_cols: tuple = ()):
-    """groupby(pair_part).map_groups fn: per-pair minimum of value_col
+    """``pair_part`` exchange fn: per-pair minimum of value_col
     (deduping a pair found via multiple bands), carrying payload columns
     (identical within a pair) from the first occurrence."""
     from mhray.kernels import pair_run_starts
@@ -560,8 +555,8 @@ def make_pair_min(value_col: str, payload_cols: tuple = ()):
 # dataset-level wiring
 # ---------------------------------------------------------------------------
 
-def minhash_candidates(sketches_ds, cfg: MhapConfig, num_parts: int = 64,
-                       index=None):
+def minhash_candidates(sketches_ds, cfg: MhapConfig,
+                       num_parts: int | None = None, index=None):
     """sketches -> gated candidate pairs (lo, hi, shared_slots).
 
     ``index=None`` is the self-join over ``sketches_ds`` (``lo < hi``).
@@ -569,9 +564,14 @@ def minhash_candidates(sketches_ds, cfg: MhapConfig, num_parts: int = 64,
     and only query x index pairs are emitted (``lo`` = query iid,
     ``hi`` = index iid; the two iid spaces are independent).
 
-    Two shuffles: groupby(part) to co-locate LSH keys, then
-    groupby(pair_part) to total the per-partition partial counts and
-    apply the num_min_matches gate."""
+    Two exchanges over ``num_parts`` partitions (default
+    :func:`mhray.rayutil.parts_for` the sketches): ``part`` to
+    co-locate LSH keys, then ``pair_part`` to total the per-partition
+    partial counts and apply the num_min_matches gate."""
+    from mhray.rayutil import exchange, parts_for
+
+    num_parts = parts_for(sketches_ds, num_parts)
+
     def explode(side, role: int):
         return side.map_batches(
             explode_minhash_packed,
@@ -583,13 +583,10 @@ def minhash_candidates(sketches_ds, cfg: MhapConfig, num_parts: int = 64,
     bands = explode(sketches_ds, 0)
     if index is not None:
         bands = bands.union(explode(index, 1))
-    pairs = bands.groupby("part", num_partitions=num_parts).map_groups(
-        make_emit_pairs_packed(cfg.band_group_cap, num_parts=num_parts,
-                               cross=index is not None),
-        batch_format="pyarrow"
-    )
-    gated = pairs.groupby("pair_part", num_partitions=num_parts).map_groups(
-        make_count_gate(cfg.num_min_matches), batch_format="pyarrow")
+    pairs = exchange(bands, "part", num_parts, make_emit_pairs_packed(
+        cfg.band_group_cap, num_parts=num_parts, cross=index is not None))
+    gated = exchange(pairs, "pair_part", num_parts,
+                     make_count_gate(cfg.num_min_matches))
     if cfg.min_store_length > 0:
         gated = apply_store_length_gate(
             gated, sketches_ds, sketches_ds if index is None else index,

@@ -21,7 +21,7 @@ import ray.data
 
 
 def cluster_edges(pairs_ds, max_rounds: int = 50,
-                  num_partitions: int = 16,
+                  num_partitions: int | None = None,
                   driver_threshold: int = 2_000_000,
                   stats: dict | None = None) -> "ray.data.Dataset":
     """pairs(lo, hi) -> (iid, cluster_id) for every node in a pair.
@@ -170,7 +170,8 @@ def _cluster_driver_side(edges) -> "ray.data.Dataset":
     }))
 
 
-def assign_clusters(sketches_ds, pair_clusters, num_partitions: int = 16):
+def assign_clusters(sketches_ds, pair_clusters,
+                    num_partitions: int | None = None):
     """Full assignment (image_id, iid, cluster_id): nodes not in any
     accepted pair are singleton clusters of themselves.
 
@@ -201,7 +202,7 @@ def assign_clusters(sketches_ds, pair_clusters, num_partitions: int = 16):
     return joined.map_batches(fill, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def triangle_counts(edges, num_parts: int = 8,
+def triangle_counts(edges, num_parts: int | None = None,
                     lo_col: str = "lo", hi_col: str = "hi"):
     """Per-node triangle participation counts over an undirected edge
     list — the cluster-density / cohesion metric one step past
@@ -231,9 +232,10 @@ def triangle_counts(edges, num_parts: int = 8,
     import pyarrow.compute as pc
 
     from mhray.kernels import expand_spans
-    from mhray.rayutil import attach_payload
+    from mhray.rayutil import attach_payload, exchange, parts_for
     from mhray.stages.candidates import _part_of
 
+    num_parts = parts_for(edges, num_parts)
     e = edges.map_batches(
         lambda b: pa.table({"a": b.column(lo_col).cast(pa.int64()),
                             "b": b.column(hi_col).cast(pa.int64())}),
@@ -264,10 +266,9 @@ def triangle_counts(edges, num_parts: int = 8,
                          "b": pa.array(in_mid[r], pa.int64()),
                          "c": pa.array(out_end[j], pa.int64())})
 
-    wedges = e.map_batches(by_middle, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(emit_wedges, batch_format="pyarrow")
+    wedges = exchange(e.map_batches(by_middle, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                      "part", num_parts, emit_wedges)
     tri = attach_payload(
         wedges, ("a", "c"), e, ("a", "b"), (), "e", num_parts,
         pairs_schema=pa.schema([("a", pa.int64()), ("b", pa.int64()),

@@ -102,10 +102,13 @@ def _doc_distinct(keys: np.ndarray, doc_idx: np.ndarray):
 def decontaminate(docs, bench, n: int = 8, *, id_col: str = "doc_id",
                   text_col: str = "text",
                   broadcast_threshold: int = 5_000_000,
-                  num_parts: int = 8):
+                  num_parts: int | None = None):
     """Mark every doc in ``docs`` that shares a word n-gram with any doc
     in ``bench``. Returns (id_col, n_hits, contaminated[0/1]) covering
     every input doc."""
+    from mhray.rayutil import parts_for
+
+    num_parts = parts_for(docs, num_parts)
 
     def bench_partial(batch: pa.Table) -> pa.Table:
         keys, _ = word_shingle_keys(batch.column(text_col).to_pylist(), n)
@@ -147,7 +150,7 @@ def decontaminate(docs, bench, n: int = 8, *, id_col: str = "doc_id",
                                 zero_copy_batch=True)
 
     # scale fallback: shingle-key hash partitions; only int64 rows move
-    from mhray.rayutil import anti_join_ids
+    from mhray.rayutil import anti_join_ids, exchange
     from mhray.stages.candidates import _part_of
 
     def corpus_shingles(batch: pa.Table) -> pa.Table:
@@ -198,8 +201,7 @@ def decontaminate(docs, bench, n: int = 8, *, id_col: str = "doc_id",
 
     from ray.data.aggregate import Sum
 
-    hit_tbl = both.groupby("kpart", num_partitions=num_parts) \
-        .map_groups(match_part, batch_format="pyarrow") \
+    hit_tbl = exchange(both, "kpart", num_parts, match_part) \
         .groupby("doc").aggregate(Sum("hits", alias_name="n_hits")) \
         .materialize()
 

@@ -24,7 +24,8 @@ import ray
 import ray.data
 
 from mhray.config import MhapConfig
-from mhray.stages.candidates import _part_of, auto_parts, make_emit_pairs
+from mhray.rayutil import exchange, parts_for
+from mhray.stages.candidates import _part_of, make_emit_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -35,11 +36,11 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 num_parts: int | None = None):
     """One surviving (min-id) row key per distinct text: returns
     (doc_id, group_size). One hash-partition shuffle + partition-wise
-    vectorized min-id/count (the repo's groupby(part)+map_groups idiom
+    vectorized min-id/count (the repo's ``rayutil.exchange`` idiom
     — ~40% faster than the sort-aggregate operator on narrow rows)."""
     from mhray.kernels import hash_strings64
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def add_hash(batch: pa.Table) -> pa.Table:
         h = hash_strings64(batch.column(text_col).to_pylist())
@@ -64,10 +65,9 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             "group_size": pa.array(sizes, pa.int64()),
         })
 
-    return ds.map_batches(add_hash, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(dedup_part, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_hash, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "part", num_parts, dedup_part)
 
 
 def dedup_keep_best(ds, score_col: str, text_col: str = "text",
@@ -80,7 +80,7 @@ def dedup_keep_best(ds, score_col: str, text_col: str = "text",
     ``exact_dedup``; only (id, hash, score) rows move."""
     from mhray.kernels import hash_strings64
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def add_hash(batch: pa.Table) -> pa.Table:
         h = hash_strings64(batch.column(text_col).to_pylist())
@@ -109,10 +109,9 @@ def dedup_keep_best(ds, score_col: str, text_col: str = "text",
                 pa.array(order[starts], pa.int64())),
         })
 
-    return ds.map_batches(add_hash, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(best_part, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_hash, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "part", num_parts, best_part)
 
 
 def chunk_dedup(ds, chunk_words: int = 8, text_col: str = "text",
@@ -139,7 +138,7 @@ def chunk_dedup(ds, chunk_words: int = 8, text_col: str = "text",
 
     from mhray.kernels import hash_strings64
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
     W = int(chunk_words)
 
     def explode_chunks(batch: pa.Table) -> pa.Table:
@@ -229,12 +228,10 @@ def chunk_dedup(ds, chunk_words: int = 8, text_col: str = "text",
             "kept_text": kept_text,
         })
 
-    return ds.map_batches(explode_chunks, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("hpart", num_partitions=num_parts) \
-        .map_groups(mark_winners, batch_format="pyarrow") \
-        .groupby("dpart", num_partitions=num_parts) \
-        .map_groups(rebuild, batch_format="pyarrow")
+    marked = exchange(ds.map_batches(explode_chunks, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                      "hpart", num_parts, mark_winners)
+    return exchange(marked, "dpart", num_parts, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +287,7 @@ def tiered_dedup(ds, cfg: MhapConfig | None = None, text_col: str = "text",
     from mhray.rayutil import anti_join_ids
 
     cfg = cfg or PRESETS["captions"].with_(threshold=0.9)
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
     docs = ds.select_columns([id_col, text_col])
     doc_schema = pa.schema([(id_col, pa.int64()), (text_col, pa.string())])
 
@@ -325,7 +322,7 @@ def tiered_dedup(ds, cfg: MhapConfig | None = None, text_col: str = "text",
         return pa.table({
             id_col: batch.column(id_col),
             "text_hash": pa.array(h, pa.int64()),
-            "part": pa.array(_part_of(h, auto_parts(num_parts)), pa.int32()),
+            "part": pa.array(_part_of(h, num_parts), pa.int32()),
         })
 
     def exact_removed(part: pa.Table) -> pa.Table:
@@ -345,10 +342,10 @@ def tiered_dedup(ds, cfg: MhapConfig | None = None, text_col: str = "text",
             "dup_of": pa.array(keeper[dup], pa.int64()),
         })
 
-    _run_tier("exact", remaining.map_batches(
-        add_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part", num_partitions=num_parts)
-        .map_groups(exact_removed, batch_format="pyarrow"))
+    _run_tier("exact", exchange(
+        remaining.map_batches(add_hash, batch_format="pyarrow",
+                              zero_copy_batch=True),
+        "part", num_parts, exact_removed))
 
     # tier 2: simhash banding ---------------------------------------------
     sh_pairs = simhash_pairs(remaining, max_hamming=simhash_max_hamming,
@@ -438,7 +435,7 @@ def ngram_jaccard_pairs(ds, tau: float, text_col: str = "text",
     from mhray.kernels import hash_strings64
     from mhray.rayutil import attach_payload_both, top_counts
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def tokenize(batch: pa.Table) -> pa.Table:
         """One hash call + one lexsort for the WHOLE batch (the per-doc
@@ -510,9 +507,9 @@ def ngram_jaccard_pairs(ds, tau: float, text_col: str = "text",
             "iid": pa.array(ids[doc_sel], pa.int64()),
         })
 
-    cands = toks_ds.map_batches(prefix_explode, batch_format="pyarrow") \
-        .groupby("part", num_partitions=num_parts).map_groups(make_emit_pairs(group_cap),
-                                    batch_format="pyarrow") \
+    cands = exchange(toks_ds.map_batches(prefix_explode,
+                                         batch_format="pyarrow"),
+                     "part", num_parts, make_emit_pairs(group_cap)) \
         .groupby(["lo", "hi"]).count()
 
     # attach both token blobs (one broadcast copy, or one shuffle per
@@ -634,7 +631,7 @@ def ngram_novelty(ds, shingle_words: int = 4, text_col: str = "text",
     (doc_id, n_shingles, novel_bp); sub-shingle-length docs are
     excluded (no shingles, novelty undefined), matching the oracle.
     """
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     postings = ds.map_batches(
         make_shingle_postings(shingle_words, text_col, id_col, num_parts),
@@ -691,12 +688,10 @@ def ngram_novelty(ds, shingle_words: int = 4, text_col: str = "text",
             "novel_bp": pa.array(bp, pa.int64()),
         })
 
-    parts2 = postings.groupby("part", num_partitions=num_parts) \
-        .map_groups(novel_partials, batch_format="pyarrow") \
+    parts2 = exchange(postings, "part", num_parts, novel_partials) \
         .map_batches(doc_part, batch_format="pyarrow",
                      zero_copy_batch=True)
-    return parts2.groupby("dpart", num_partitions=num_parts) \
-        .map_groups(finalize, batch_format="pyarrow")
+    return exchange(parts2, "dpart", num_parts, finalize)
 
 def shingle_containment_pairs(ds, tau_bp: int = 8000, shingle_words: int = 4,
                               text_col: str = "text", id_col: str = "doc_id",
@@ -727,15 +722,13 @@ def shingle_containment_pairs(ds, tau_bp: int = 8000, shingle_words: int = 4,
     """
     from mhray.kernels import pair_run_starts
 
-    num_parts = auto_parts(num_parts)
-    pairs = ds.map_batches(make_shingle_postings(shingle_words, text_col,
-                                                 id_col, num_parts),
-                           batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(make_emit_pairs(group_cap, payload_cols=("n_sh",),
-                                    num_parts=num_parts),
-                    batch_format="pyarrow")
+    num_parts = parts_for(ds, num_parts)
+    postings = ds.map_batches(make_shingle_postings(shingle_words, text_col,
+                                                    id_col, num_parts),
+                              batch_format="pyarrow", zero_copy_batch=True)
+    pairs = exchange(postings, "part", num_parts,
+                     make_emit_pairs(group_cap, payload_cols=("n_sh",),
+                                     num_parts=num_parts))
 
     def containment_gate(part: pa.Table) -> pa.Table:
         lo = np.asarray(part.column("lo"), dtype=np.int64)
@@ -763,8 +756,7 @@ def shingle_containment_pairs(ds, tau_bp: int = 8000, shingle_words: int = 4,
             "cont_bp": pa.array(cont_bp, pa.int64()),
         })
 
-    return pairs.groupby("pair_part", num_partitions=num_parts) \
-        .map_groups(containment_gate, batch_format="pyarrow")
+    return exchange(pairs, "pair_part", num_parts, containment_gate)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +771,7 @@ def simhash_pairs(ds, max_hamming: int = 6, k: int = 6,
     max_hamming, candidates from contiguous-block banding."""
     from mhray.kernels import hamming64, simhash64
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def add_simhash(batch: pa.Table) -> pa.Table:
         sh = simhash64(batch.column(text_col).to_pylist(), k)
@@ -798,9 +790,8 @@ def simhash_pairs(ds, max_hamming: int = 6, k: int = 6,
                    "num_parts": num_parts},
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    pairs = bands.groupby("part", num_partitions=num_parts).map_groups(
-        make_emit_pairs(group_cap, payload_cols=("phash",)),
-        batch_format="pyarrow")
+    pairs = exchange(bands, "part", num_parts,
+                     make_emit_pairs(group_cap, payload_cols=("phash",)))
 
     def gate(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch.column("phash_lo"), dtype=np.int64)
@@ -856,7 +847,6 @@ def minhash_text_pairs(ds, cfg: MhapConfig, text_col: str = "text",
     from mhray.stages.sketch import sketch_dataset
     from mhray.stages.verify import verify_candidates
 
-    num_parts = auto_parts(num_parts)
     as_images = docs_as_images(ds, text_col, id_col)
     sketches = sketch_dataset(as_images, cfg, decode_pixels=False)
     valid = sketches.filter(expr="valid == True").materialize()
@@ -878,7 +868,7 @@ def dup_rate_by_source(ds, text_col: str = "text", id_col: str = "doc_id",
 
     from mhray.kernels import hash_strings64
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def add_hash(batch: pa.Table) -> pa.Table:
         h = hash_strings64(batch.column(text_col))
@@ -908,10 +898,9 @@ def dup_rate_by_source(ds, text_col: str = "text", id_col: str = "doc_id",
             "is_dup": pa.array(dup.astype(np.int64), pa.int64()),
         })
 
-    agg = ds.map_batches(add_hash, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(mark, batch_format="pyarrow") \
+    agg = exchange(ds.map_batches(add_hash, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+                   "part", num_parts, mark) \
         .groupby(source_col).aggregate(Count(alias_name="n_docs"),
                                        Sum("is_dup", alias_name="n_dups"))
 

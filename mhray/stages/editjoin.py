@@ -48,7 +48,8 @@ import pyarrow as pa
 
 import ray
 
-from mhray.stages.candidates import _part_of, auto_parts
+from mhray.rayutil import HEAVY_PART_ROWS, exchange, parts_for
+from mhray.stages.candidates import _part_of
 from mhray.stages.dedup import _blob_concat
 
 
@@ -107,7 +108,6 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
             f"min_len={min_len} leaves {min_len - q + 1} {q}-grams per "
             f"doc, not more than q*k={q * k}: {k} edits could destroy "
             "them all and the prefix filter would miss pairs")
-    num_parts = auto_parts(num_parts)
     R = q * k + 1  # prefix postings per doc
 
     import pyarrow.compute as pc
@@ -121,6 +121,9 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
 
     docs = ds.map_batches(eligible, batch_format="pyarrow",
                           zero_copy_batch=True).materialize()
+    # the per-pair verify runs one task per partition: size it as a
+    # compute-heavy consumer
+    num_parts = parts_for(docs, num_parts, rows_per_part=HEAVY_PART_ROWS)
 
     def gramize(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column(id_col), dtype=np.int64)
@@ -212,9 +215,9 @@ def edit_distance_pairs(ds, k: int = 4, q: int = 8, min_len: int = 104,
             "hi": pa.array(np.maximum(x, y), pa.int64()),
         })
 
-    cands = grams.map_batches(prefix_postings, batch_format="pyarrow") \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(emit_len_pairs, batch_format="pyarrow") \
+    cands = exchange(grams.map_batches(prefix_postings,
+                                       batch_format="pyarrow"),
+                     "part", num_parts, emit_len_pairs) \
         .groupby(["lo", "hi"]).count()
     j = attach_payload_both(
         cands, docs, id_col, (text_col,), num_parts,

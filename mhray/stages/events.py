@@ -17,7 +17,8 @@ import numpy as np
 import pyarrow as pa
 
 from mhray.kernels import group_searchsorted, window_pairs
-from mhray.stages.candidates import _part_of, auto_parts
+from mhray.rayutil import exchange, parts_for
+from mhray.stages.candidates import _part_of
 
 
 def asof_join(left_ds, right_ds, key_col: str, left_ts_col: str,
@@ -38,7 +39,7 @@ def asof_join(left_ds, right_ds, key_col: str, left_ts_col: str,
     ``.cast(pa.int64())`` upstream); ``right_value_col`` must be
     integer-typed as well (the forward-fill gathers by position).
     """
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(left_ds, num_parts)
     carry_cols = tuple(carry_cols)
 
     def _arrow_type(schema, name):
@@ -115,8 +116,7 @@ def asof_join(left_ds, right_ds, key_col: str, left_ts_col: str,
             np.where(matched, val[gather], 0), pa.int64(), mask=~matched)
         return pa.table(out)
 
-    return tagged.groupby("__part", num_partitions=num_parts).map_groups(
-        resolve, batch_format="pyarrow")
+    return exchange(tagged, "__part", num_parts, resolve)
 
 
 def window_self_join(ds, key_col: str, ts_col: str, id_col: str,
@@ -125,7 +125,7 @@ def window_self_join(ds, key_col: str, ts_col: str, id_col: str,
     each other, canonical by id. Per-partition time sort + searchsorted
     window bounds + span expansion (``kernels.window_pairs``): cost is
     input + output, never the per-key quadratic."""
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
         key = np.asarray(batch.column(key_col), dtype=np.int64)
@@ -147,10 +147,9 @@ def window_self_join(ds, key_col: str, ts_col: str, id_col: str,
             "gap_s": pa.array((ts[b] - ts[a]) // 1_000_000, pa.int64()),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(pairs, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_part, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, pairs)
 
 
 def range_window_count(ds, key_col: str, ts_col: str, id_col: str,
@@ -168,7 +167,7 @@ def range_window_count(ds, key_col: str, ts_col: str, id_col: str,
     (``kernels.group_searchsorted``). Cost is
     O(n log n) per partition, no per-row Python.
     """
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
         key = np.asarray(batch.column(key_col), dtype=np.int64)
@@ -194,16 +193,15 @@ def range_window_count(ds, key_col: str, ts_col: str, id_col: str,
             out_col: pa.array(cnt, pa.int64()),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(counts, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_part, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, counts)
 
 
 def gap_stats(ds, key_col: str, ts_col: str, num_parts: int | None = None):
     """Per-key inter-event gap count and total, all in exact integer
     microseconds (the LAG-window aggregate shape)."""
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
         key = np.asarray(batch.column(key_col), dtype=np.int64)
@@ -236,10 +234,9 @@ def gap_stats(ds, key_col: str, ts_col: str, num_parts: int | None = None):
             "total_gap_us": pa.array(total, pa.int64()),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(gaps, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_part, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, gaps)
 
 
 def funnel_counts(ds, key_col: str, ts_col: str, type_col: str,
@@ -258,7 +255,7 @@ def funnel_counts(ds, key_col: str, ts_col: str, type_col: str,
     (step, partial count) rows leave the partitions. Returns
     (step, step_type, n_keys) with step 1..len(steps).
     """
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
     steps = tuple(steps)
 
     def add_part(batch: pa.Table) -> pa.Table:
@@ -330,10 +327,9 @@ def funnel_counts(ds, key_col: str, ts_col: str, type_col: str,
     import ray.data
     from ray.data.aggregate import Sum
 
-    parts = ds.map_batches(add_part, batch_format="pyarrow",
-                           zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(funnel_part, batch_format="pyarrow")
+    parts = exchange(ds.map_batches(add_part, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                     "__part", num_parts, funnel_part)
     agg = parts.groupby(["step", "step_type"]).aggregate(
         Sum("partial", alias_name="n_keys"))
 
@@ -364,7 +360,7 @@ def ts_motif_search(ds, key_col: str, ts_col: str, val_col: str,
     global answer.
     Returns (key, start_ts, dist) ascending by (dist, key, start_ts).
     """
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
     q = np.asarray(query, np.float64)
     m = len(q)
     qs = q.std()
@@ -430,10 +426,9 @@ def ts_motif_search(ds, key_col: str, ts_col: str, val_col: str,
             "dist": pa.array(np.round(dist[top], 9), pa.float64()),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(scan, batch_format="pyarrow") \
+    return exchange(ds.map_batches(add_part, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, scan) \
         .sort(["dist", "key", "start_ts"]).limit(top_k)
 
 
@@ -452,7 +447,7 @@ def cohort_retention(ds, key_col: str, ts_col: str,
     """
     from ray.data.aggregate import Count
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
     US_PER_DAY = 86_400_000_000
 
     def key_days(batch: pa.Table) -> pa.Table:
@@ -486,10 +481,9 @@ def cohort_retention(ds, key_col: str, ts_col: str,
             "day_offset": pa.array(d_s - cohort, pa.int64()),
         })
 
-    agg = ds.map_batches(key_days, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(offsets, batch_format="pyarrow") \
+    agg = exchange(ds.map_batches(key_days, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+                   "__part", num_parts, offsets) \
         .groupby(["cohort_day", "day_offset"]) \
         .aggregate(Count(alias_name="n_users"))
     return agg.map_batches(
@@ -514,7 +508,7 @@ def zscore_outliers(ds, key_col: str, val_col: str, id_col: str,
 
     Returns (id_col, key_col, z) with z as float64.
     """
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
         key = np.asarray(batch.column(key_col), dtype=np.int64)
@@ -546,7 +540,6 @@ def zscore_outliers(ds, key_col: str, val_col: str, id_col: str,
             "z": pa.array(zv[keep], pa.float64()),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(outliers, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_part, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, outliers)

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from mhray.config import MhapConfig
+from mhray.rayutil import exchange
 
 
 def shingle_freq_table(ds, cfg: MhapConfig, text_col: str = "caption",
@@ -282,10 +283,9 @@ def approx_percentiles(ds, col: str, qs=(0.25, 0.5, 0.75),
         return pa.table({"v": pa.array(sv, pa.float64()),
                          "w": pa.array(sw, pa.float64())})
 
-    rows = ds.map_batches(summarize, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(remerge, batch_format="pyarrow").take_all()
+    rows = exchange(ds.map_batches(summarize, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "part", num_parts, remerge).take_all()
     if not rows:
         return {float(q): float("nan") for q in qs}
     v = np.array([r["v"] for r in rows])
@@ -355,10 +355,9 @@ def sample_percentiles(ds, col: str, key_col: str,
         return pa.table({"h": pa.array(h, pa.uint64()),
                          "v": pa.array(v, pa.float64())})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(remerge, batch_format="pyarrow").take_all()
+    rows = exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "part", num_parts, remerge).take_all()
     if not rows:
         return {float(q): float("nan") for q in qs}
     h = np.array([r["h"] for r in rows], np.uint64)

@@ -31,7 +31,8 @@ import pyarrow as pa
 import ray.data
 
 from mhray.config import MhapConfig
-from mhray.stages.candidates import (assign_reps, auto_parts, cross_members,
+from mhray.rayutil import parts_for, read_parquet
+from mhray.stages.candidates import (assign_reps, cross_members,
                                      members_view, minhash_candidates,
                                      pack_members)
 from mhray.stages.verify import verify_candidates
@@ -43,7 +44,7 @@ def load_sketch_index(index: "str | ray.data.Dataset"):
     if isinstance(index, str):
         data_dir = os.path.join(index, "data")
         path = data_dir if os.path.isdir(data_dir) else index
-        index = ray.data.read_parquet(path)
+        index = read_parquet(path, split=False)
     return index.filter(expr="valid == True")
 
 
@@ -78,8 +79,8 @@ def find_matches(query_ds, index, cfg: MhapConfig,
     from mhray.rayutil import attach_payload
     from mhray.stages.sketch import sketch_dataset
 
-    num_parts = auto_parts(num_parts)
     index_full = load_sketch_index(index).materialize()
+    num_parts = parts_for(index_full, num_parts)
     if cfg.bit_prefilter and "bitsig" not in index_full.schema().names:
         raise ValueError(
             "cfg.bit_prefilter needs a 'bitsig' column in the index; "

@@ -500,90 +500,3 @@ def image_quality(images_ds, batch_size: int = 64):
     return images_ds.map_batches(
         ImageQualityStage(), batch_size=batch_size, batch_format="pyarrow",
         zero_copy_batch=True)
-
-
-def phash_knn(images_ds, query_ids: list[str], k: int = 5,
-              id_col: str = "image_id", phash_col: str = "phash"):
-    """Top-k perceptual-hash neighbors per query image: broadcast the
-    query pHashes (``ray.put`` once), stream the corpus ONCE with a
-    per-batch partial top-k combiner (only k x blocks x queries rows
-    reach the final grouped selection — the e_knn_brute shape applied
-    to Hamming space). Ties break (distance, neighbor_id) ascending,
-    deterministic. Queries are matched by id within the same dataset
-    (self-excluded); pass a pre-computed (id, phash) table — decode
-    never runs here.
-    """
-    import ray
-
-    from mhray.kernels import hamming64
-
-    _qset = pa.array(list(query_ids), pa.string())
-
-    def _pick_queries(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.is_in(batch.column(id_col),
-                                     value_set=_qset))
-
-    q_rows = images_ds.select_columns([id_col, phash_col]) \
-        .map_batches(_pick_queries, batch_format="pyarrow",
-                     zero_copy_batch=True).take_all()
-    empty = ray.data.from_arrow(pa.schema([
-        ("query_id", pa.string()), ("neighbor_id", pa.string()),
-        ("hamming", pa.int64()), ("rank", pa.int64())]).empty_table())
-    if not q_rows:
-        return empty
-    qid = [r[id_col] for r in q_rows]
-    qph = np.array([r[phash_col] for r in q_rows], dtype=np.int64)
-    q_ref = ray.put((qid, qph))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        qids, qphs = ray.get(q_ref)
-        ids = np.asarray(batch.column(id_col).to_pylist())
-        ph = np.asarray(batch.column(phash_col), dtype=np.int64)
-        out_q, out_n, out_d = [], [], []
-        for qi in range(len(qids)):
-            d = hamming64(np.full(len(ph), qphs[qi], np.int64), ph)
-            cand = np.flatnonzero(ids != qids[qi])
-            if not len(cand):
-                continue
-            take = min(k, len(cand))
-            # (distance, neighbor_id) order INSIDE the partial too —
-            # argpartition on distance alone keeps an arbitrary subset
-            # of boundary ties (Hamming is a small integer; ties are
-            # the common case) and the result would depend on block
-            # layout
-            top = cand[np.lexsort((ids[cand], d[cand]))[:take]]
-            out_q += [qids[qi]] * take
-            out_n.append(ids[top])
-            out_d.append(d[top])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.string()),
-                             "neighbor_id": pa.array([], pa.string()),
-                             "hamming": pa.array([], pa.int64())})
-        return pa.table({
-            "query_id": pa.array(out_q, pa.string()),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "hamming": pa.array(np.concatenate(out_d).astype(np.int64),
-                                pa.int64()),
-        })
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        d = np.asarray(group.column("hamming"), dtype=np.int64)
-        nbr = np.asarray(group.column("neighbor_id").to_pylist())
-        order = np.lexsort((nbr, d))[:k]
-        return pa.table({
-            "query_id": group.column("query_id").take(
-                pa.array(order, pa.int64())),
-            "neighbor_id": pa.array(nbr[order]),
-            "hamming": pa.array(d[order], pa.int64()),
-            "rank": pa.array(np.arange(1, len(order) + 1), pa.int64()),
-        })
-
-    parts = images_ds.map_batches(partial, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    # when every partial is empty (the corpus holds only the queries)
-    # final_topk never runs and the grouped output has no schema; the
-    # typed empty block keeps the four columns
-    return parts.groupby("query_id").map_groups(
-        final_topk, batch_format="pyarrow").union(empty)

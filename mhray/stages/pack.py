@@ -64,9 +64,10 @@ def pack_sequences(ds, budget: int, *, id_col: str = "doc_id",
     ``tokens_col`` supplies precomputed token counts; otherwise counts
     are the non-empty ASCII-whitespace tokens of ``text_col``.
     """
-    from mhray.stages.candidates import _part_of, auto_parts
+    from mhray.rayutil import exchange, parts_for
+    from mhray.stages.candidates import _part_of
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def prep(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column(id_col), np.int64)
@@ -96,28 +97,29 @@ def pack_sequences(ds, budget: int, *, id_col: str = "doc_id",
         })
 
     def pack_part(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "n_tokens": pa.array([], pa.int64()),
-                             "seq_id": pa.array([], pa.int64()),
-                             "offset": pa.array([], pa.int64()),
-                             "truncated": pa.array([], pa.int64())})
+        """Next-fit packing of each hash partition in the call."""
         ids = np.asarray(part.column(id_col), np.int64)
         nt = np.asarray(part.column("n_tokens"), np.int64)
-        p = int(part.column("part")[0].as_py())
-        # (id, n_tokens) sort: a bare id argsort leaves duplicate ids
-        # ordered by block arrival — nondeterministic across runs
-        order = np.lexsort((nt, ids))
-        seq, off, trunc = pack_next_fit(nt[order], budget)
+        parts = np.asarray(part.column("part"), np.int64)
+        # (part, id, n_tokens) sort: a bare id argsort leaves duplicate
+        # ids ordered by block arrival — nondeterministic across runs
+        order = np.lexsort((nt, ids, parts))
+        ids, nt, parts = ids[order], nt[order], parts[order]
+        seq = np.empty(len(ids), np.int64)
+        off = np.empty(len(ids), np.int64)
+        trunc = np.empty(len(ids), np.int64)
+        starts = np.flatnonzero(np.diff(parts, prepend=-1))
+        for a, b in zip(starts, np.r_[starts[1:], len(ids)]):
+            s, off[a:b], trunc[a:b] = pack_next_fit(nt[a:b], budget)
+            seq[a:b] = (parts[a] << 40) | s
         return pa.table({
-            id_col: pa.array(ids[order], pa.int64()),
-            "n_tokens": pa.array(nt[order], pa.int64()),
-            "seq_id": pa.array((np.int64(p) << 40) | seq, pa.int64()),
+            id_col: pa.array(ids, pa.int64()),
+            "n_tokens": pa.array(nt, pa.int64()),
+            "seq_id": pa.array(seq, pa.int64()),
             "offset": pa.array(off, pa.int64()),
             "truncated": pa.array(trunc, pa.int64()),
         })
 
-    return ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts) \
-        .map_groups(pack_part, batch_format="pyarrow")
+    return exchange(ds.map_batches(prep, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "part", num_parts, pack_part)

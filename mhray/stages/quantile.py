@@ -119,9 +119,10 @@ def dense_rank_in_group(ds, key_col: str, val_col: str,
     cumsums per partition — no per-group Python. ``val_col`` must be
     NaN-free (rank order over NaN is undefined; values are compared,
     never recomputed, so float ties match SQL bit-for-bit)."""
-    from mhray.stages.candidates import _part_of, auto_parts
+    from mhray.rayutil import exchange, parts_for
+    from mhray.stages.candidates import _part_of
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
     cols = [key_col, val_col, *carry_cols]
 
     def add_part(batch: pa.Table) -> pa.Table:
@@ -155,7 +156,6 @@ def dense_rank_in_group(ds, key_col: str, val_col: str,
         out[rank_col] = pa.array(csum - base, pa.int64())
         return pa.table(out)
 
-    return ds.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__part", num_partitions=num_parts) \
-        .map_groups(ranks, batch_format="pyarrow")
+    return exchange(ds.map_batches(add_part, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "__part", num_parts, ranks)

@@ -81,7 +81,7 @@ def sketch_align_pairs(docs_ds, pairs_ds, k: int = 7, step: int = 50,
                        num_words: int = 20, gap_open: float = 0.0,
                        score_offset: float = -0.52,
                        id_col: str = "doc_id", text_col: str = "text",
-                       num_parts: int = 16):
+                       num_parts: int | None = None):
     """(lo, hi, raw_sc, a1, a2, b1, b2) per candidate pair: the one-skip
     sketch alignment's overlap window in UTF-16 unit coordinates of
     each text (a half-open reference quirk: bounds are INCLUSIVE unit

@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from mhray.stages.candidates import _part_of, auto_parts, make_emit_pairs
+from mhray.rayutil import exchange, parts_for
+from mhray.stages.candidates import _part_of, make_emit_pairs
 
 
 _FNV = np.uint64(1099511628211)
@@ -153,7 +154,7 @@ def substring_pairs(ds, min_len: int = 32, window: int = 8,
     gram = min_len - window + 1."""
     from mhray.kernels import shingle_hashes64
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
     if min_len < 4:
         raise ValueError("substring_pairs needs min_len >= 4 "
                          "(the minimum fingerprint gram)")
@@ -184,10 +185,9 @@ def substring_pairs(ds, min_len: int = 32, window: int = 8,
             "iid": pa.array(ids[doc_sel], pa.int64()),
         })
 
-    cands = texts_ds.map_batches(fingerprint, batch_format="pyarrow",
-                                 zero_copy_batch=True) \
-        .groupby("part", num_partitions=num_parts).map_groups(make_emit_pairs(group_cap),
-                                    batch_format="pyarrow") \
+    cands = exchange(texts_ds.map_batches(fingerprint, batch_format="pyarrow",
+                                          zero_copy_batch=True),
+                     "part", num_parts, make_emit_pairs(group_cap)) \
         .groupby(["lo", "hi"]).count()
 
     from mhray.rayutil import attach_payload_both

@@ -240,9 +240,10 @@ def top_terms(ds, k: int = 3, text_col: str = "text",
     Returns (id_col, token, rank) with rank 1..k.
     """
     from mhray.kernels import hash_strings64
-    from mhray.stages.candidates import _part_of, auto_parts
+    from mhray.rayutil import exchange, parts_for
+    from mhray.stages.candidates import _part_of
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def doc_token_tf(batch: pa.Table) -> pa.Table:
         split = pc.split_pattern_regex(batch.column(text_col),
@@ -324,12 +325,10 @@ def top_terms(ds, k: int = 3, text_col: str = "text",
                          "token": out.column("token"),
                          "rank": pa.array(rank[rank <= k], pa.int64())})
 
-    return ds.map_batches(doc_token_tf, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("tpart", num_partitions=num_parts) \
-        .map_groups(attach_df, batch_format="pyarrow") \
-        .groupby("dpart", num_partitions=num_parts) \
-        .map_groups(rank_docs, batch_format="pyarrow")
+    scored = exchange(ds.map_batches(doc_token_tf, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                      "tpart", num_parts, attach_df)
+    return exchange(scored, "dpart", num_parts, rank_docs)
 
 
 def ngram_topk(ds, k: int = 20, n: int = 2, text_col: str = "text",
@@ -343,9 +342,10 @@ def ngram_topk(ds, k: int = 20, n: int = 2, text_col: str = "text",
     (ngram, n) ordered (n desc, ngram asc) — deterministic ties.
     """
     from mhray.kernels import hash_strings64
-    from mhray.stages.candidates import _part_of, auto_parts
+    from mhray.rayutil import exchange, parts_for
+    from mhray.stages.candidates import _part_of
 
-    num_parts = auto_parts(num_parts)
+    num_parts = parts_for(ds, num_parts)
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         split = pc.split_pattern_regex(batch.column(text_col), f"[{_WS}]+")
@@ -435,10 +435,9 @@ def ngram_topk(ds, k: int = 20, n: int = 2, text_col: str = "text",
             "n": pa.array(tot[top], pa.int64()),
         })
 
-    return ds.map_batches(partial_counts, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("tpart", num_partitions=num_parts) \
-        .map_groups(local_topk, batch_format="pyarrow") \
+    return exchange(ds.map_batches(partial_counts, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    "tpart", num_parts, local_topk) \
         .sort(["n", "ngram"], descending=[True, False]).limit(k)
 
 
@@ -585,8 +584,7 @@ def trigram_lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
     """
     import ray
 
-    from mhray.rayutil import top_counts
-    from mhray.stages.candidates import auto_parts
+    from mhray.rayutil import parts_for, top_counts
 
     def trigrams(batch: pa.Table) -> pa.Table:
         keys, _ = _trigram_keys_batch(_texts(batch, text_col))
@@ -595,7 +593,7 @@ def trigram_lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
     mk, mc, total = top_counts(
         ds.map_batches(trigrams, batch_format="pyarrow",
                        zero_copy_batch=True),
-        "key", top_k, auto_parts(num_parts))
+        "key", top_k, parts_for(ds, num_parts))
     logp = np.log(np.maximum(mc, floor_count) / max(total, 1.0))
     model_ref = ray.put((mk, logp,
                          float(np.log(floor_count / max(total, 1.0)))))

@@ -3,7 +3,7 @@ invariant: decoded-pixel PSNR >= 40 dB between cluster members, plus
 caption equality for exact-caption pairs).
 
 Runs as a pipeline stage over the final clusters: co-locate each
-cluster's rows (hash-partitioned map_groups carrying the image bytes),
+cluster's rows (one hash-partition exchange carrying the image bytes),
 decode, and check every member against the cluster's minimum-iid
 representative. Emits one row per image with the invariant verdict —
 consumed by pytest as the verification gate.
@@ -15,15 +15,18 @@ import numpy as np
 import pyarrow as pa
 
 from mhray.imageops import UnsupportedFormatError, decode_image, psnr
+from mhray.rayutil import exchange, parts_for
 from mhray.stages.candidates import _part_of
 
 
-def validate_clusters(images_ds, clusters_ds, num_parts: int = 8,
+def validate_clusters(images_ds, clusters_ds,
+                      num_parts: int | None = None,
                       min_psnr: float = 40.0):
     """(image_id, cluster_id, psnr_ok, caption_match) per row in a
     multi-member cluster (singletons are trivially valid and skipped)."""
     import ray
 
+    num_parts = parts_for(images_ds, num_parts)
     cl = clusters_ds.select_columns(["image_id", "cluster_id"]).to_pandas()
     cmap = dict(zip(cl["image_id"], cl["cluster_id"]))
     ref = ray.put(cmap)
@@ -83,7 +86,6 @@ def validate_clusters(images_ds, clusters_ds, num_parts: int = 8,
             "caption_match": pa.array(out_cap, pa.bool_()),
         })
 
-    return images_ds.map_batches(tag, batch_format="pyarrow",
-                                 zero_copy_batch=True) \
-        .groupby("cpart", num_partitions=num_parts) \
-        .map_groups(check, batch_format="pyarrow")
+    return exchange(images_ds.map_batches(tag, batch_format="pyarrow",
+                                          zero_copy_batch=True),
+                    "cpart", num_parts, check)

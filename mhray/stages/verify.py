@@ -22,7 +22,7 @@ from mhray.config import MhapConfig
 from mhray.kernels import unpack_bottom_sketch
 
 
-def attach_sketches(pairs_ds, sketches_ds, num_partitions: int = 32,
+def attach_sketches(pairs_ds, sketches_ds, num_partitions: int | None = None,
                     columns=("bs_blob",), index=None):
     """pairs(lo, hi, ...) ⋈ sketches on lo, then ⋈ ``index`` (default:
     the same sketches) on hi — two keyed attaches
@@ -120,13 +120,12 @@ class VerifyPairs:
 
 
 def verify_candidates(pairs_ds, sketches_ds, cfg: MhapConfig,
-                      num_partitions: int = 32, index=None):
+                      num_partitions: int | None = None, index=None):
     """Gated (lo, hi, shared_slots) pairs -> verified pairs with their
     score and overlap, ``lo`` sketches from ``sketches_ds`` and ``hi``
-    sketches from ``index`` (default: ``sketches_ds``, the self-join)."""
-    # candidate-pair tables are small relative to the corpus; fewer
-    # shuffle partitions = fewer reduce tasks on the attach scale path
-    num_partitions = max(2, min(8, num_partitions))
+    sketches from ``index`` (default: ``sketches_ds``, the self-join).
+    The attaches' exchange path uses ``num_partitions`` partitions,
+    default :func:`mhray.rayutil.parts_for` the sketch side."""
     if cfg.bit_prefilter:
         # F5 pre-filter: the 1-bit/slot signature (64x smaller than the
         # bottom sketch) rides the attach first; pairs whose cheap

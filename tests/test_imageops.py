@@ -169,34 +169,6 @@ def test_image_quality_stage(ray_session):
     assert (out[out.decode_ok].sharpness > 0).all()
 
 
-def test_phash_knn_finds_noisy_copy(ray_session):
-    import pyarrow as pa
-
-    import ray.data
-    from mhray.stages.multimodal import phash_knn
-
-    rng = np.random.default_rng(21)
-    base = [_img(s) for s in range(12)]
-    noisy = np.clip(base[0].astype(np.int16)
-                    + rng.integers(-2, 3, base[0].shape), 0, 255) \
-        .astype(np.uint8)
-    imgs = base + [noisy]
-    ids = [f"img_{i}" for i in range(12)] + ["img_0_noisy"]
-    tbl = pa.table({
-        "image_id": pa.array(ids),
-        "phash": pa.array([I.phash64(im) for im in imgs], pa.int64()),
-    })
-    ds = ray.data.from_arrow(tbl).repartition(3)
-    out = phash_knn(ds, ["img_0"], k=3).to_pandas()
-    assert list(out["rank"]) == [1, 2, 3]
-    assert out.iloc[0]["neighbor_id"] == "img_0_noisy"
-    assert out.iloc[0]["hamming"] <= 6
-
-    # unknown query id -> empty result, not a crash
-    empty = phash_knn(ds, ["nope"], k=3).to_pandas()
-    assert len(empty) == 0
-
-
 def test_image_quality_stage_corrupt_png_row(ray_session):
     """A truncated PNG (raises struct.error, not ValueError, in the
     codec) must come back decode_ok=false — never crash the task."""
@@ -217,52 +189,6 @@ def test_image_quality_stage_corrupt_png_row(ray_session):
         .to_pandas().set_index("image_id")
     assert bool(out.loc["ok", "decode_ok"])
     assert not bool(out.loc["trunc", "decode_ok"])
-
-
-def test_phash_knn_tie_break_deterministic(ray_session):
-    """Boundary ties keep the lexically-smallest neighbor ids — the
-    partial must honor (distance, id) order, not argpartition whim."""
-    import pyarrow as pa
-
-    import ray.data
-    from mhray.stages.multimodal import phash_knn
-
-    # 6 corpus rows, ALL at hamming 1 from the query's phash 0
-    ids = ["q"] + [f"n{c}" for c in "fedcba"]
-    ph = [0] + [1 << b for b in range(6)]
-    tbl = pa.table({"image_id": pa.array(ids),
-                    "phash": pa.array(ph, pa.int64())})
-    for parts in (1, 3):
-        out = phash_knn(ray.data.from_arrow(tbl).repartition(parts),
-                        ["q"], k=3).to_pandas()
-        assert list(out["neighbor_id"]) == ["na", "nb", "nc"], parts
-
-
-@pytest.mark.parametrize("n_query", [1, 3])
-def test_phash_knn_only_query_rows(ray_session, n_query):
-    """A corpus holding nothing but the query rows: with one query
-    every partial is empty (self is excluded), so the final grouping
-    runs over zero-row blocks only. It must return zero rows whose
-    schema still names the four output columns (Ray's ``to_pandas``
-    drops the columns of an all-empty dataset, so the schema is where
-    they show) instead of crashing. With three queries the same layout
-    still finds each query's two neighbors."""
-    import pyarrow as pa
-
-    import ray.data
-    from mhray.stages.multimodal import phash_knn
-
-    ids = [f"q{i}" for i in range(n_query)]
-    tbl = pa.table({"image_id": pa.array(ids),
-                    "phash": pa.array([1 << i for i in range(n_query)],
-                                      pa.int64())})
-    out = phash_knn(ray.data.from_arrow(tbl).repartition(n_query),
-                    ids, k=3)
-    rows = out.take_all()
-    assert len(rows) == n_query * (n_query - 1)
-    cols = ["query_id", "neighbor_id", "hamming", "rank"]
-    assert out.schema().names == cols
-    assert all(list(r) == cols for r in rows)
 
 
 def test_avi_vids_not_stream_zero():

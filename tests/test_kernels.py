@@ -447,18 +447,3 @@ def test_binary_flat_view_large_binary_and_type_guard():
         binary_flat_view(pa.array([[1, 2]], pa.list_(pa.int64())), 8, "<u8")
     with pytest.raises(TypeError):
         binary_flat_view(pa.array(["ab"], pa.string()), 8, "<u8")
-
-
-def test_auto_parts_one_per_cpu(monkeypatch):
-    """No cap: a 64-CPU cluster gets 64 shuffle partitions (the old
-    32 cap guarded a join-operator pool mhray no longer uses); an
-    explicit request wins, and a 1-CPU cluster still gets 2."""
-    import ray
-
-    from mhray.stages.candidates import auto_parts
-
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 64.0})
-    assert auto_parts() == 64
-    assert auto_parts(5) == 5
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
-    assert auto_parts() == 2

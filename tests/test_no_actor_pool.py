@@ -3,8 +3,10 @@ on the session's warm workers; none starts an actor pool per run. The
 static guard walks the AST of every module under mhray/ and fails on a
 ``map_batches`` call passing ``concurrency=`` or
 ``fn_constructor_kwargs=``. The runtime guard records every Ray Data
-execution of one flagship run and fails on an ``ActorPoolMapOperator``
-or on more executions than the run needs today."""
+execution of one flagship run and fails on an ``ActorPoolMapOperator``,
+on a read whose blocks Ray splits (``SplitBlocks``: the split read
+cannot fuse with the map after it) or on more executions than the run
+needs today."""
 
 import ast
 import os
@@ -54,7 +56,7 @@ def test_guard_catches_both_keywords(tmp_path):
 
 def _op_names(op, seen=None):
     seen = set() if seen is None else seen
-    seen.add(type(op).__name__)
+    seen.update((type(op).__name__, op.name))
     for dep in op.input_dependencies:
         _op_names(dep, seen)
     return seen
@@ -80,4 +82,6 @@ def test_flagship_runs_no_actor_pool(ray_session, small_corpus,
               PRESETS["captions"], num_parts=4)
     assert executed
     assert not [ops for ops in executed if "ActorPoolMapOperator" in ops]
+    assert not [name for ops in executed for name in ops
+                if "SplitBlocks" in name]
     assert len(executed) <= MAX_EXECUTIONS, len(executed)
